@@ -11,8 +11,8 @@
 
 #include "bench_common.hpp"
 #include "obs/counters.hpp"
+#include "oracle/reference_kernels.hpp"
 #include "pagerank/batch_csr.hpp"
-#include "pagerank/propagation_blocking.hpp"
 #include "pagerank/spmm_temporal.hpp"
 #include "pagerank/spmv_temporal.hpp"
 #include "streaming/dynamic_graph.hpp"
@@ -111,7 +111,7 @@ void BM_WindowStateScatter(benchmark::State& state) {
   const std::size_t w = part.first_window;
   WindowState ws;
   for (auto _ : state) {
-    compute_window_state(part, f.spec.start(w), f.spec.end(w), ws);
+    oracle::compute_window_state(part, f.spec.start(w), f.spec.end(w), ws);
     benchmark::DoNotOptimize(ws.num_active);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -124,7 +124,7 @@ void BM_SpmvIteration(benchmark::State& state) {
   const auto& part = f.set.part(0);
   const std::size_t w = part.first_window;
   WindowState ws;
-  compute_window_state(part, f.spec.start(w), f.spec.end(w), ws);
+  oracle::compute_window_state(part, f.spec.start(w), f.spec.end(w), ws);
   std::vector<double> x(part.num_local());
   std::vector<double> scratch(part.num_local());
   full_init(ws.active, ws.num_active, x);
@@ -133,8 +133,8 @@ void BM_SpmvIteration(benchmark::State& state) {
   params.tol = 0.0;
   const obs::CounterSnapshot before = counters_before();
   for (auto _ : state) {
-    pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), ws, x,
-                         scratch, params);
+    oracle::pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), ws, x,
+                                 scratch, params);
     benchmark::DoNotOptimize(x[0]);
   }
   counters_after("BM_SpmvIteration", state, before);
@@ -172,7 +172,7 @@ void BM_SpmmIteration16(benchmark::State& state) {
   const auto& part = f.set.part(0);
   const SpmmBatch batch = spmm16_batch(part);
   SpmmWindowState ws;
-  compute_spmm_state(part, f.spec, batch, ws);
+  oracle::compute_spmm_state(part, f.spec, batch, ws);
   const std::size_t n = part.num_local();
   std::vector<double> x(n * batch.lanes, 1.0 / static_cast<double>(n));
   std::vector<double> scratch(n * batch.lanes);
@@ -181,7 +181,7 @@ void BM_SpmmIteration16(benchmark::State& state) {
   params.tol = 0.0;
   const obs::CounterSnapshot before = counters_before();
   for (auto _ : state) {
-    pagerank_spmm(part, f.spec, batch, ws, x, scratch, params);
+    oracle::pagerank_spmm(part, f.spec, batch, ws, x, scratch, params);
     benchmark::DoNotOptimize(x[0]);
   }
   counters_after("BM_SpmmIteration16", state, before);
@@ -268,27 +268,6 @@ void BM_SpmmCompile16(benchmark::State& state) {
                           static_cast<std::int64_t>(part.num_events));
 }
 BENCHMARK(BM_SpmmCompile16);
-
-void BM_PropagationBlockingIteration(benchmark::State& state) {
-  const auto& f = MicroFixture::get();
-  const auto slice = f.events.slice(f.spec.start(0), f.spec.end(0));
-  const PushGraph g =
-      PushGraph::from_events(slice, f.events.num_vertices());
-  std::vector<double> x(g.num_vertices);
-  std::vector<double> scratch(g.num_vertices);
-  full_init(g.is_active, g.num_active, x);
-  PagerankParams params;
-  params.max_iters = 1;
-  params.tol = 0.0;
-  for (auto _ : state) {
-    pagerank_propagation_blocking(g, x, scratch, params,
-                                  static_cast<unsigned>(state.range(0)));
-    benchmark::DoNotOptimize(x[0]);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.out.num_edges()));
-}
-BENCHMARK(BM_PropagationBlockingIteration)->Arg(8)->Arg(12)->Arg(16)->Arg(24);
 
 void BM_StreamingWindowAdvance(benchmark::State& state) {
   const auto& f = MicroFixture::get();

@@ -19,6 +19,7 @@
 #include "bench_common.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
+#include "oracle/reference_kernels.hpp"
 #include "pagerank/batch_csr.hpp"
 #include "pagerank/pagerank.hpp"
 #include "pagerank/spmm_temporal.hpp"
@@ -205,13 +206,13 @@ int main(int argc, char** argv) {
 
     {
       WindowState ws;
-      compute_window_state(part, mspec.start(w), mspec.end(w), ws);
+      oracle::compute_window_state(part, mspec.start(w), mspec.end(w), ws);
       std::vector<double> x(part.num_local());
       std::vector<double> scratch(part.num_local());
       full_init(ws.active, ws.num_active, x);
       emit("micro.spmv_ref", "ns_per_iteration", ns_per_iter([&] {
-             pagerank_window_spmv(part, mspec.start(w), mspec.end(w), ws, x,
-                                  scratch, params);
+             oracle::pagerank_window_spmv(part, mspec.start(w), mspec.end(w),
+                                          ws, x, scratch, params);
            }));
     }
     {

@@ -279,14 +279,17 @@ int main(int argc, char** argv) {
   const obs::PhaseHistogram& iter_hist =
       result.histograms[obs::Phase::kIterate];
   if (iter_hist.total_count() > 0) {
+    // One histogram entry per kernel call: an SpMM call covers a whole
+    // batch of windows, so the call count is not the window count.
     std::printf("iterate    : p50 %lluns  p90 %lluns  p99 %lluns  max "
-                "%lluns over %llu windows\n",
+                "%lluns over %llu kernel calls (%zu windows)\n",
                 static_cast<unsigned long long>(iter_hist.percentile_ns(0.5)),
                 static_cast<unsigned long long>(iter_hist.percentile_ns(0.9)),
                 static_cast<unsigned long long>(
                     iter_hist.percentile_ns(0.99)),
                 static_cast<unsigned long long>(iter_hist.max_ns),
-                static_cast<unsigned long long>(iter_hist.total_count()));
+                static_cast<unsigned long long>(iter_hist.total_count()),
+                result.num_windows);
   }
   std::printf("counters   : %llu edges traversed, %llu tasks spawned, "
               "%llu/%llu steals, %llu vertices reused\n",

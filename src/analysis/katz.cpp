@@ -9,10 +9,9 @@ namespace pmpr::analysis {
 
 namespace {
 
-double sweep_rows(const MultiWindowGraph& part, Timestamp ts, Timestamp te,
-                  const WindowState& state, std::span<const double> x,
-                  std::span<double> x_next, const KatzParams& params,
-                  std::size_t lo, std::size_t hi) {
+double sweep_rows(const CompiledWindowCsr& compiled, const WindowState& state,
+                  std::span<const double> x, std::span<double> x_next,
+                  const KatzParams& params, std::size_t lo, std::size_t hi) {
   double diff = 0.0;
   for (std::size_t v = lo; v < hi; ++v) {
     if (state.active[v] == 0) {
@@ -20,8 +19,9 @@ double sweep_rows(const MultiWindowGraph& part, Timestamp ts, Timestamp te,
       continue;
     }
     double sum = 0.0;
-    part.in.for_each_active_neighbor(static_cast<VertexId>(v), ts, te,
-                                     [&](VertexId u) { sum += x[u]; });
+    for (const VertexId u : compiled.row_nbr(static_cast<VertexId>(v))) {
+      sum += x[u];
+    }
     const double next = params.beta + params.attenuation * sum;
     diff += std::abs(next - x[v]);
     x_next[v] = next;
@@ -31,12 +31,11 @@ double sweep_rows(const MultiWindowGraph& part, Timestamp ts, Timestamp te,
 
 }  // namespace
 
-KatzStats katz_window(const MultiWindowGraph& part, Timestamp ts,
-                      Timestamp te, const WindowState& state,
-                      std::span<double> x, std::span<double> scratch,
-                      const KatzParams& params,
+KatzStats katz_window(const WindowState& state,
+                      const CompiledWindowCsr& compiled, std::span<double> x,
+                      std::span<double> scratch, const KatzParams& params,
                       const par::ForOptions* parallel) {
-  const std::size_t n = part.num_local();
+  const std::size_t n = compiled.num_rows();
   assert(x.size() == n && scratch.size() == n);
   KatzStats stats;
   if (state.num_active == 0) {
@@ -53,13 +52,12 @@ KatzStats katz_window(const MultiWindowGraph& part, Timestamp ts,
       diff = par::parallel_reduce(
           0, n, 0.0, *parallel,
           [&](std::size_t lo, std::size_t hi) {
-            return sweep_rows(part, ts, te, state, cur_span, next_span,
-                              params, lo, hi);
+            return sweep_rows(compiled, state, cur_span, next_span, params,
+                              lo, hi);
           },
           [](double a, double b) { return a + b; });
     } else {
-      diff = sweep_rows(part, ts, te, state, cur_span, next_span, params, 0,
-                        n);
+      diff = sweep_rows(compiled, state, cur_span, next_span, params, 0, n);
     }
     std::swap(cur, next);
     stats.iterations = iter + 1;
@@ -82,6 +80,7 @@ std::vector<KatzSummary> katz_over_windows(const MultiWindowSet& set,
   std::vector<double> x;
   std::vector<double> scratch;
   WindowState state;
+  CompiledWindowCsr compiled;
   std::size_t carry_part = SIZE_MAX;
 
   for (std::size_t w = 0; w < m; ++w) {
@@ -90,7 +89,7 @@ std::vector<KatzSummary> katz_over_windows(const MultiWindowSet& set,
     const std::size_t n = part.num_local();
     const Timestamp ts = set.spec().start(w);
     const Timestamp te = set.spec().end(w);
-    compute_window_state(part, ts, te, state, parallel);
+    compile_window(part, ts, te, state, compiled, parallel);
 
     if (!warm_start || p != carry_part) {
       x.assign(n, 0.0);
@@ -111,7 +110,7 @@ std::vector<KatzSummary> katz_over_windows(const MultiWindowSet& set,
     carry_part = p;
 
     const KatzStats stats =
-        katz_window(part, ts, te, state, x, scratch, params, parallel);
+        katz_window(state, compiled, x, scratch, params, parallel);
 
     KatzSummary& s = out[w];
     s.window = w;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/multi_window.hpp"
+#include "pagerank/batch_csr.hpp"
 #include "pagerank/window_state.hpp"
 #include "par/parallel_for.hpp"
 
@@ -32,14 +33,14 @@ struct KatzStats {
   double final_residual = 0.0;
 };
 
-/// Katz for window [ts, te] of `part`. `x` (size = locals) is the starting
-/// guess on entry (e.g. the previous window's result, or all beta) and the
-/// result on exit; inactive vertices end at 0. `state` must match the
-/// window (only `active` is used; degrees are not needed for Katz).
-KatzStats katz_window(const MultiWindowGraph& part, Timestamp ts,
-                      Timestamp te, const WindowState& state,
-                      std::span<double> x, std::span<double> scratch,
-                      const KatzParams& params,
+/// Katz for one window over its compiled adjacency (compile_window).
+/// `x` (size = locals) is the starting guess on entry (e.g. the previous
+/// window's result, or all beta) and the result on exit; inactive vertices
+/// end at 0. `state` must come from the same compile_window call (only
+/// `active` is used; degrees are not needed for Katz).
+KatzStats katz_window(const WindowState& state,
+                      const CompiledWindowCsr& compiled, std::span<double> x,
+                      std::span<double> scratch, const KatzParams& params,
                       const par::ForOptions* parallel = nullptr);
 
 /// Per-window Katz summary for the whole analysis (sequential windows with

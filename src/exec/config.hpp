@@ -38,7 +38,7 @@ enum class StorageKind {
   kCompressed,
   /// Compressed parts serialized to an mmap-backed store file and paged
   /// in/out under config.memory_budget_bytes
-  /// (graph/paged_multi_window.hpp). Requires compiled_kernels.
+  /// (graph/paged_multi_window.hpp).
   kOutOfCore,
 };
 
@@ -71,18 +71,10 @@ struct PostmortemConfig {
   /// throw InvariantError when unsupported). Resolved once per run and
   /// recorded in RunResult::simd_isa.
   SimdMode simd = SimdMode::kAuto;
-  /// Use the batch-compiled adjacency kernels (precomputed lane masks, run
-  /// compression, active-row compaction — pagerank/batch_csr.hpp) instead
-  /// of the reference traversal that re-derives lane membership per edge
-  /// per iteration. Bit-identical results; off retains the reference
-  /// kernels for differential testing and ablation.
-  bool compiled_kernels = true;
   bool partial_init = true;
   /// Representation storage: raw in-RAM (default), compressed in-RAM, or
-  /// the mmap-backed out-of-core store. The compressed kinds require
-  /// compiled_kernels (the reference traversal needs raw arrays) — the
-  /// runner throws InvariantError otherwise. Ranks are bit-identical
-  /// across all three.
+  /// the mmap-backed out-of-core store. Ranks are bit-identical across all
+  /// three.
   StorageKind storage = StorageKind::kInRam;
   /// kOutOfCore only: hard cap on resident compressed payload bytes. 0 =
   /// "one part at a time" (the cap adjusts to the largest part).

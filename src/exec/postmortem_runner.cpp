@@ -287,12 +287,8 @@ class PostmortemDriver {
       PMPR_TRACE_SPAN("window.build");
       PMPR_FR_PHASE("window.build", w);
       obs::PhaseTimer timing(obs::Phase::kBuild);
-      if (cfg_.compiled_kernels) {
-        compile_window(part, ts, te, st.ws, st.compiled_win, kernel_par_,
-                       &st.decode_scratch);
-      } else {
-        compute_window_state(part, ts, te, st.ws, kernel_par_);
-      }
+      compile_window(part, ts, te, st.ws, st.compiled_win, kernel_par_,
+                     &st.decode_scratch);
     }
 
     const bool partial = cfg_.partial_init && item.index > 0 &&
@@ -316,11 +312,8 @@ class PostmortemDriver {
       PMPR_TRACE_SPAN("window.iterate");
       PMPR_FR_PHASE("window.iterate", w);
       obs::PhaseTimer timing(obs::Phase::kIterate);
-      stats = cfg_.compiled_kernels
-                  ? pagerank_window_spmv(st.ws, st.compiled_win, st.x,
-                                         st.scratch, cfg_.pr, kernel_par_)
-                  : pagerank_window_spmv(part, ts, te, st.ws, st.x, st.scratch,
-                                         cfg_.pr, kernel_par_);
+      stats = pagerank_window_spmv(st.ws, st.compiled_win, st.x, st.scratch,
+                                   cfg_.pr, kernel_par_);
     }
     result_.iterations_per_window[w] = stats.iterations;
     result_.final_residuals[w] = stats.final_residual;
@@ -362,12 +355,8 @@ class PostmortemDriver {
       PMPR_TRACE_SPAN("batch.build");
       PMPR_FR_PHASE("batch.build", batch.first_window);
       obs::PhaseTimer timing(obs::Phase::kBuild);
-      if (cfg_.compiled_kernels) {
-        compile_spmm_batch(part, spec_, batch, st.spmm_ws, st.compiled_batch,
-                           kernel_par_, &st.decode_scratch);
-      } else {
-        compute_spmm_state(part, spec_, batch, st.spmm_ws, kernel_par_);
-      }
+      compile_spmm_batch(part, spec_, batch, st.spmm_ws, st.compiled_batch,
+                         kernel_par_, &st.decode_scratch);
     }
 
     const bool partial = cfg_.partial_init && j > 0 &&
@@ -407,12 +396,8 @@ class PostmortemDriver {
       PMPR_TRACE_SPAN("batch.iterate");
       PMPR_FR_PHASE("batch.iterate", batch.first_window);
       obs::PhaseTimer timing(obs::Phase::kIterate);
-      stats = cfg_.compiled_kernels
-                  ? pagerank_spmm(st.spmm_ws, st.compiled_batch, st.x,
-                                  st.scratch, cfg_.pr, kernel_par_,
-                                  cfg_.simd)
-                  : pagerank_spmm(part, spec_, batch, st.spmm_ws, st.x,
-                                  st.scratch, cfg_.pr, kernel_par_);
+      stats = pagerank_spmm(st.spmm_ws, st.compiled_batch, st.x, st.scratch,
+                            cfg_.pr, kernel_par_, cfg_.simd);
     }
     obs::count(obs::Counter::kWindowsProcessed, lanes);
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, batch.first_window,
@@ -463,16 +448,6 @@ class PostmortemDriver {
 }  // namespace
 
 namespace {
-
-/// Compressed representations stream through the compile passes; the
-/// reference (non-compiled) traversal reads the raw arrays and cannot run.
-void check_storage_supported(const PostmortemConfig& config) {
-  PMPR_CHECK_MSG(config.compiled_kernels ||
-                     config.storage == StorageKind::kInRam,
-                 to_string(config.storage)
-                     << " storage requires compiled_kernels: the reference "
-                        "kernels traverse the raw temporal CSR");
-}
 
 /// Folds the run's memory accounting into `result` (which must already
 /// hold its counter delta). alloc/free tallies become run deltas against
@@ -549,9 +524,6 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
 
 RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
                                const PostmortemConfig& config) {
-  PMPR_CHECK_MSG(config.compiled_kernels,
-                 "out-of-core storage requires compiled_kernels: the "
-                 "reference kernels traverse the raw temporal CSR");
   if (config.validate) {
     // Part at a time, bounded by the budget like any other access.
     for (std::size_t p = 0; p < paged.num_parts(); ++p) {
@@ -600,7 +572,6 @@ RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
 RunResult run_postmortem(const TemporalEdgeList& events,
                          const WindowSpec& spec, ResultSink& sink,
                          const PostmortemConfig& config) {
-  check_storage_supported(config);
   Timer build_timer;
   double build_seconds = 0.0;
   const obs::HistogramSnapshot hist_before = obs::histograms_snapshot();

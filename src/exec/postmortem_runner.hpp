@@ -35,8 +35,7 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
 /// Runs on an already-built paged store. Parts are processed part-major:
 /// each part is pinned (PagedMultiWindowSet::acquire) while its windows /
 /// batches compute — possibly in parallel — then released to the LRU.
-/// Requires config.compiled_kernels (the reference traversal needs raw
-/// arrays). Fills the oocore_* fields of RunResult from the store's
+/// Fills the oocore_* fields of RunResult from the store's
 /// PagingStats.
 RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,
                                const PostmortemConfig& config);

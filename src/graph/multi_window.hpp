@@ -128,8 +128,7 @@ class MultiWindowSet {
 
   /// Re-encodes every part's in-adjacency with the chunked delta+varint
   /// codec and drops the raw arrays (MultiWindowGraph::compress). The
-  /// compiled-kernel compile passes then stream from the chunks; the
-  /// reference kernels cannot run on a compressed set.
+  /// compile passes (pagerank/batch_csr.hpp) then stream from the chunks.
   void compress_in_place(
       std::size_t target_chunk_entries = io::kDefaultChunkEntries);
 

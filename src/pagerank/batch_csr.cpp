@@ -33,7 +33,8 @@ struct ChunkTally {
 
 /// Pass A of the SpMM compile for ONE row given as col/time spans: run
 /// compression that counts the surviving (mask != 0) runs and scatters
-/// degrees and activity exactly like compute_spmm_state. Shared by the
+/// degrees and activity exactly like the reference scatter in
+/// tests/oracle/. Shared by the
 /// raw-CSR sweep and the compressed-chunk streaming sweep, which is what
 /// makes the two paths bit-identical by construction.
 ///

@@ -1,12 +1,12 @@
 // Batch-compiled adjacency: the per-iteration-invariant structure of an
 // SpMM batch (or a single window) compiled into the representation once.
 //
-// The reference kernels re-derive each event's lane membership
-// (lanes_containing -> WindowSpec::windows_containing) and re-scan
-// duplicate <neighbor, time> runs on every edge of every power iteration,
-// and sweep all n rows even when the batch touches a fraction of them.
-// All of that depends only on (part, spec, batch) — never on the iterate —
-// so it is hoisted into a one-time per-batch build:
+// A direct traversal of the temporal CSR would re-derive each event's lane
+// membership (lanes_containing -> WindowSpec::windows_containing) and
+// re-scan duplicate <neighbor, time> runs on every edge of every power
+// iteration, and sweep all n rows even when the batch touches a fraction
+// of them. All of that depends only on (part, spec, batch) — never on the
+// iterate — so it is hoisted into a one-time per-batch build:
 //
 //   * run compression: per row, only the *distinct* in-neighbors, each
 //     with a precomputed multi-word lane mask (runs whose mask is all-zero
@@ -19,11 +19,11 @@
 //
 // The SpMM inner loop then becomes: load u, load mask words, AND the live
 // mask, fused multiply-add per set bit — no timestamp arithmetic. The
-// compiled kernels (scalar and the AVX2/AVX-512 sweeps of
-// simd_sweep_*.cpp) execute the exact floating-point operations of the
-// reference kernels with the same per-lane order, so results, residuals,
-// and iteration counts are bit-identical when run serially
-// (tests/pagerank/compiled_kernels_test.cpp).
+// kernels (scalar and the AVX2/AVX-512 sweeps of simd_sweep_*.cpp)
+// execute the exact floating-point operations of the direct traversal
+// with the same per-lane order, so results, residuals, and iteration
+// counts are bit-identical, when run serially, to the reference kernels
+// in tests/oracle/ (tests/pagerank/compiled_kernels_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -98,12 +98,11 @@ struct CompiledBatchCsr {
   obs::MemCharge charge;
 };
 
-/// Builds `state` and `out` together: one run-compression pass replaces
-/// compute_spmm_state's scatter (which duplicated the run-scan +
-/// lanes_containing logic) and simultaneously emits the compiled
-/// adjacency. `state` after the call is identical to what
-/// compute_spmm_state produces. Non-null `parallel` runs the row passes
-/// as parallel_fors. Throws InvariantError when batch.lanes is outside
+/// Builds `state` and `out` together: one run-compression pass scatters
+/// the per-lane degrees and activity and emits the compiled adjacency.
+/// `state` after the call is identical to the reference scatter's in
+/// tests/oracle/. Non-null `parallel` runs the row passes as
+/// parallel_fors. Throws InvariantError when batch.lanes is outside
 /// [1, kMaxSpmmLanes].
 ///
 /// Compressed parts (part.is_compressed()) stream: the passes decode one
@@ -147,7 +146,7 @@ struct CompiledWindowCsr {
 };
 
 /// Builds `state` and `out` for window [ts, te] together (state identical
-/// to compute_window_state's result). Streams compressed parts chunk by
+/// to the reference scatter's in tests/oracle/). Streams compressed parts chunk by
 /// chunk with [ts, te] pruning, like compile_spmm_batch.
 void compile_window(const MultiWindowGraph& part, Timestamp ts, Timestamp te,
                     WindowState& state, CompiledWindowCsr& out,

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -26,102 +25,6 @@ using LaneVec = std::vector<double>;
 LaneVec add_lanes(LaneVec a, const LaneVec& b) {
   for (std::size_t k = 0; k < a.size(); ++k) a[k] += b[k];
   return a;
-}
-
-/// One shared sweep over rows [lo, hi) advancing all lanes live in
-/// `live_mask` (mask_words words). Accumulates the per-lane L1 change into
-/// `diff`. This is the reference kernel the compiled sweeps must match
-/// bit-for-bit when run serially; like them it uses an explicit fused
-/// multiply-add per contribution.
-void sweep_rows(const MultiWindowGraph& part, const WindowSpec& spec,
-                const SpmmBatch& batch, const SpmmWindowState& state,
-                std::span<const double> x, std::span<double> x_next,
-                const LaneVec& base, double one_minus_alpha,
-                const std::uint64_t* live_mask, LaneVec& diff, std::size_t lo,
-                std::size_t hi) {
-  const std::size_t lanes = batch.lanes;
-  const std::size_t words = state.mask_words;
-  LiveMask acc_scratch{};  // per-run lane mask, reused across runs
-  std::vector<double> acc(lanes);
-  std::uint64_t edges = 0;  // flushed once per chunk, not per edge
-  for (std::size_t v = lo; v < hi; ++v) {
-    const std::uint64_t* v_active = state.mask_of(v);
-    std::uint64_t any_update = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      any_update |= v_active[w] & live_mask[w];
-    }
-    // Frozen (converged) and inactive lanes keep their current value so the
-    // buffers can be swapped; accumulate only for live active lanes.
-    for (std::size_t k = 0; k < lanes; ++k) {
-      acc[k] = base[k];
-    }
-
-    if (any_update != 0) {
-      const auto cols = part.in.row_cols(static_cast<VertexId>(v));
-      const auto times = part.in.row_times(static_cast<VertexId>(v));
-      edges += cols.size();
-      std::size_t i = 0;
-      while (i < cols.size()) {
-        const VertexId u = cols[i];
-        LiveMask& run_mask = acc_scratch;
-        run_mask.fill(0);
-        while (i < cols.size() && cols[i] == u) {
-          lanes_containing_into(spec, batch, times[i], run_mask.data());
-          ++i;
-        }
-        for (std::size_t w = 0; w < words; ++w) {
-          std::uint64_t m = run_mask[w] & v_active[w] & live_mask[w];
-          while (m != 0) {
-            const std::size_t k = w * kLanesPerMaskWord + ctz64(m);
-            m &= m - 1;
-            acc[k] = std::fma(
-                one_minus_alpha,
-                x[u * lanes + k] /
-                    static_cast<double>(state.out_degree[u * lanes + k]),
-                acc[k]);
-          }
-        }
-      }
-    }
-
-    for (std::size_t k = 0; k < lanes; ++k) {
-      const double cur = x[v * lanes + k];
-      if (!mask_test(v_active, k)) {
-        x_next[v * lanes + k] = 0.0;
-      } else if (!mask_test(live_mask, k)) {
-        x_next[v * lanes + k] = cur;  // frozen lane
-      } else {
-        const double next = acc[k];
-        diff[k] += std::abs(next - cur);
-        x_next[v * lanes + k] = next;
-      }
-    }
-  }
-  obs::count(obs::Counter::kEdgesTraversed, edges);
-}
-
-/// Per-lane dangling mass of live lanes from the current vectors, scanning
-/// rows [lo, hi) of the full vertex space (reference path).
-LaneVec dangling_scan(const SpmmWindowState& state, const double* cur,
-                      std::size_t lanes, const std::uint64_t* live_mask,
-                      std::size_t lo, std::size_t hi) {
-  LaneVec dangling(lanes, 0.0);
-  const std::size_t words = state.mask_words;
-  for (std::size_t v = lo; v < hi; ++v) {
-    const std::uint64_t* v_active = state.mask_of(v);
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t m = v_active[w] & live_mask[w];
-      while (m != 0) {
-        const std::size_t k = w * kLanesPerMaskWord + ctz64(m);
-        m &= m - 1;
-        if (state.out_degree[v * lanes + k] == 0) {
-          dangling[k] += cur[v * lanes + k];
-        }
-      }
-    }
-  }
-  obs::count(obs::Counter::kDanglingScanned, hi - lo);
-  return dangling;
 }
 
 /// Compiled dangling scan: only the precompiled dangling vertices are
@@ -148,21 +51,50 @@ LaneVec dangling_scan_compiled(const CompiledBatchCsr& compiled,
   return dangling;
 }
 
-/// Shared power-iteration driver: `DanglingFn(cur, live_mask)` returns the
-/// per-lane dangling mass, `SweepFn(cur, next, base, live_mask, diff)` runs
-/// one full sweep (serial or parallel).
-template <typename DanglingFn, typename SweepFn>
-SpmmStats power_iterate(std::size_t n, std::size_t lanes, std::size_t words,
-                        std::span<const std::size_t> num_active,
-                        std::span<double> x, std::span<double> scratch,
-                        const PagerankParams& params, DanglingFn&& dangling_of,
-                        SweepFn&& sweep) {
+}  // namespace
+
+SpmmStats pagerank_spmm(const SpmmWindowState& state,
+                        const CompiledBatchCsr& compiled, std::span<double> x,
+                        std::span<double> scratch,
+                        const PagerankParams& params,
+                        const par::ForOptions* parallel, SimdMode simd) {
+  const std::size_t n = compiled.num_rows();
+  const std::size_t lanes = compiled.lanes;
+  PMPR_CHECK_MSG(lanes >= 1 && lanes <= kMaxSpmmLanes,
+                 "SpMM batch lanes " << lanes << " outside [1, "
+                                     << kMaxSpmmLanes << "]");
+  assert(x.size() == n * lanes && scratch.size() == n * lanes);
+  assert(state.lanes == lanes);
+  assert(state.mask_words == compiled.mask_words);
+  const std::size_t words = compiled.mask_words;
+
+  const SimdIsa isa = resolve_simd(simd);
+  const SpmmSweepFn sweep_fn = select_spmm_sweep(words, isa);
+  const obs::Counter isa_counter =
+      isa == SimdIsa::kAvx512  ? obs::Counter::kSimdSweepAvx512
+      : isa == SimdIsa::kAvx2 ? obs::Counter::kSimdSweepAvx2
+                               : obs::Counter::kSimdSweepScalar;
+
+  // Sweeps visit only active rows, so entries of rows inactive in every
+  // lane are zeroed once, in both buffers.
+  std::size_t next_active = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (next_active < compiled.active_rows.size() &&
+        compiled.active_rows[next_active] == v) {
+      ++next_active;
+      continue;
+    }
+    for (std::size_t k = 0; k < lanes; ++k) {
+      x[v * lanes + k] = 0.0;
+      scratch[v * lanes + k] = 0.0;
+    }
+  }
+
   SpmmStats stats;
   stats.lane_stats.assign(lanes, PagerankStats{});
-
   LiveMask live{};
   for (std::size_t k = 0; k < lanes; ++k) {
-    if (num_active[k] > 0) {
+    if (state.num_active[k] > 0) {
       mask_set(live.data(), k);
     } else {
       // Empty window: zero the lane and mark it converged immediately.
@@ -171,25 +103,56 @@ SpmmStats power_iterate(std::size_t n, std::size_t lanes, std::size_t words,
   }
 
   const double one_minus_alpha = 1.0 - params.alpha;
+  const std::size_t rows = compiled.active_rows.size();
+  const std::size_t dangling_rows = compiled.dangling_rows.size();
   double* cur = x.data();
   double* next = scratch.data();
 
   for (int iter = 0;
        iter < params.max_iters && mask_any(live.data(), words); ++iter) {
+    LaneVec dangling(lanes, 0.0);
+    if (params.redistribute_dangling) {
+      if (parallel != nullptr) {
+        dangling = par::parallel_reduce_slots(
+            0, dangling_rows, LaneVec(lanes, 0.0), *parallel,
+            [&](std::size_t lo, std::size_t hi) {
+              return dangling_scan_compiled(compiled, cur, lanes, live.data(),
+                                            lo, hi);
+            },
+            add_lanes);
+      } else {
+        dangling = dangling_scan_compiled(compiled, cur, lanes, live.data(),
+                                          0, dangling_rows);
+      }
+    }
     LaneVec base(lanes, 0.0);
-    const LaneVec dangling = params.redistribute_dangling
-                                 ? dangling_of(cur, live.data())
-                                 : LaneVec(lanes, 0.0);
     for (std::size_t k = 0; k < lanes; ++k) {
-      base[k] = num_active[k] > 0
+      base[k] = state.num_active[k] > 0
                     ? (params.alpha + one_minus_alpha * dangling[k]) /
-                          static_cast<double>(num_active[k])
+                          static_cast<double>(state.num_active[k])
                     : 0.0;
     }
 
+    obs::count(isa_counter);
     LaneVec diff(lanes, 0.0);
-    sweep(std::span<const double>(cur, n * lanes),
-          std::span<double>(next, n * lanes), base, live.data(), diff);
+    if (parallel != nullptr) {
+      diff = par::parallel_reduce_slots(
+          0, rows, LaneVec(lanes, 0.0), *parallel,
+          [&](std::size_t lo, std::size_t hi) {
+            LaneVec local(lanes, 0.0);
+            const std::uint64_t edges =
+                sweep_fn(compiled, state, cur, next, base.data(),
+                         one_minus_alpha, live.data(), local.data(), lo, hi);
+            obs::count(obs::Counter::kEdgesTraversed, edges);
+            return local;
+          },
+          add_lanes);
+    } else {
+      const std::uint64_t edges =
+          sweep_fn(compiled, state, cur, next, base.data(), one_minus_alpha,
+                   live.data(), diff.data(), 0, rows);
+      obs::count(obs::Counter::kEdgesTraversed, edges);
+    }
 
     std::swap(cur, next);
     stats.iterations = iter + 1;
@@ -216,138 +179,6 @@ SpmmStats power_iterate(std::size_t n, std::size_t lanes, std::size_t words,
     std::memcpy(x.data(), cur, n * lanes * sizeof(double));
   }
   return stats;
-}
-
-}  // namespace
-
-SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
-                        const SpmmBatch& batch, const SpmmWindowState& state,
-                        std::span<double> x, std::span<double> scratch,
-                        const PagerankParams& params,
-                        const par::ForOptions* parallel) {
-  const std::size_t n = part.num_local();
-  const std::size_t lanes = batch.lanes;
-  PMPR_CHECK_MSG(lanes >= 1 && lanes <= kMaxSpmmLanes,
-                 "SpMM batch lanes " << lanes << " outside [1, "
-                                     << kMaxSpmmLanes << "]");
-  assert(x.size() == n * lanes && scratch.size() == n * lanes);
-  assert(state.lanes == lanes);
-  const std::size_t words = state.mask_words;
-
-  const double one_minus_alpha = 1.0 - params.alpha;
-  auto dangling_of = [&](const double* cur, const std::uint64_t* live_mask) {
-    if (parallel != nullptr) {
-      return par::parallel_reduce_slots(
-          0, n, LaneVec(lanes, 0.0), *parallel,
-          [&](std::size_t lo, std::size_t hi) {
-            return dangling_scan(state, cur, lanes, live_mask, lo, hi);
-          },
-          add_lanes);
-    }
-    return dangling_scan(state, cur, lanes, live_mask, 0, n);
-  };
-  auto sweep = [&](std::span<const double> cur, std::span<double> next,
-                   const LaneVec& base, const std::uint64_t* live_mask,
-                   LaneVec& diff) {
-    if (parallel != nullptr) {
-      diff = par::parallel_reduce_slots(
-          0, n, LaneVec(lanes, 0.0), *parallel,
-          [&](std::size_t lo, std::size_t hi) {
-            LaneVec local(lanes, 0.0);
-            sweep_rows(part, spec, batch, state, cur, next, base,
-                       one_minus_alpha, live_mask, local, lo, hi);
-            return local;
-          },
-          add_lanes);
-    } else {
-      sweep_rows(part, spec, batch, state, cur, next, base, one_minus_alpha,
-                 live_mask, diff, 0, n);
-    }
-  };
-  return power_iterate(n, lanes, words, state.num_active, x, scratch, params,
-                       dangling_of, sweep);
-}
-
-SpmmStats pagerank_spmm(const SpmmWindowState& state,
-                        const CompiledBatchCsr& compiled, std::span<double> x,
-                        std::span<double> scratch,
-                        const PagerankParams& params,
-                        const par::ForOptions* parallel, SimdMode simd) {
-  const std::size_t n = compiled.num_rows();
-  const std::size_t lanes = compiled.lanes;
-  PMPR_CHECK_MSG(lanes >= 1 && lanes <= kMaxSpmmLanes,
-                 "SpMM batch lanes " << lanes << " outside [1, "
-                                     << kMaxSpmmLanes << "]");
-  assert(x.size() == n * lanes && scratch.size() == n * lanes);
-  assert(state.lanes == lanes);
-  assert(state.mask_words == compiled.mask_words);
-  const std::size_t words = compiled.mask_words;
-
-  const SimdIsa isa = resolve_simd(simd);
-  const SpmmSweepFn sweep_fn = select_spmm_sweep(words, isa);
-  const obs::Counter isa_counter =
-      isa == SimdIsa::kAvx512  ? obs::Counter::kSimdSweepAvx512
-      : isa == SimdIsa::kAvx2 ? obs::Counter::kSimdSweepAvx2
-                               : obs::Counter::kSimdSweepScalar;
-
-  // Sweeps visit only active rows, so entries of rows inactive in every
-  // lane are forced to the reference kernel's 0.0 once, in both buffers
-  // (the reference rewrites them every iteration).
-  std::size_t next_active = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (next_active < compiled.active_rows.size() &&
-        compiled.active_rows[next_active] == v) {
-      ++next_active;
-      continue;
-    }
-    for (std::size_t k = 0; k < lanes; ++k) {
-      x[v * lanes + k] = 0.0;
-      scratch[v * lanes + k] = 0.0;
-    }
-  }
-
-  const double one_minus_alpha = 1.0 - params.alpha;
-  const std::size_t rows = compiled.active_rows.size();
-  const std::size_t dangling_rows = compiled.dangling_rows.size();
-  auto dangling_of = [&](const double* cur, const std::uint64_t* live_mask) {
-    if (parallel != nullptr) {
-      return par::parallel_reduce_slots(
-          0, dangling_rows, LaneVec(lanes, 0.0), *parallel,
-          [&](std::size_t lo, std::size_t hi) {
-            return dangling_scan_compiled(compiled, cur, lanes, live_mask, lo,
-                                          hi);
-          },
-          add_lanes);
-    }
-    return dangling_scan_compiled(compiled, cur, lanes, live_mask, 0,
-                                  dangling_rows);
-  };
-  auto sweep = [&](std::span<const double> cur, std::span<double> next,
-                   const LaneVec& base, const std::uint64_t* live_mask,
-                   LaneVec& diff) {
-    obs::count(isa_counter);
-    if (parallel != nullptr) {
-      diff = par::parallel_reduce_slots(
-          0, rows, LaneVec(lanes, 0.0), *parallel,
-          [&](std::size_t lo, std::size_t hi) {
-            LaneVec local(lanes, 0.0);
-            const std::uint64_t edges =
-                sweep_fn(compiled, state, cur.data(), next.data(),
-                         base.data(), one_minus_alpha, live_mask,
-                         local.data(), lo, hi);
-            obs::count(obs::Counter::kEdgesTraversed, edges);
-            return local;
-          },
-          add_lanes);
-    } else {
-      const std::uint64_t edges =
-          sweep_fn(compiled, state, cur.data(), next.data(), base.data(),
-                   one_minus_alpha, live_mask, diff.data(), 0, rows);
-      obs::count(obs::Counter::kEdgesTraversed, edges);
-    }
-  };
-  return power_iterate(n, lanes, words, state.num_active, x, scratch, params,
-                       dangling_of, sweep);
 }
 
 }  // namespace pmpr

@@ -29,24 +29,18 @@ struct SpmmStats {
   std::vector<PagerankStats> lane_stats;
 };
 
-/// Runs one SpMM batch. `x` and `scratch` are n*lanes, lane-interleaved;
-/// lane k's slice of `x` holds its initial guess on entry and its result on
-/// exit. `state` must match (part, spec, batch). Non-null `parallel` runs
-/// each shared sweep as a parallel_for over rows.
-SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
-                        const SpmmBatch& batch, const SpmmWindowState& state,
-                        std::span<double> x, std::span<double> scratch,
-                        const PagerankParams& params,
-                        const par::ForOptions* parallel = nullptr);
-
-/// Compiled-kernel overload: consumes the batch-compiled adjacency
-/// (precomputed lane masks, run compression, active-row and dangling-row
-/// compaction) built by compile_spmm_batch, so each sweep does no timestamp
-/// arithmetic and touches only active rows. `simd` picks the sweep ISA
-/// (kAuto = best the CPU supports; forced modes throw InvariantError when
-/// unsupported — see simd_dispatch.hpp). Every ISA gives bit-identical
-/// results, residuals, and iteration counts to the reference overload
-/// above when run serially.
+/// Runs one SpMM batch over its compiled adjacency (precomputed lane
+/// masks, run compression, active-row and dangling-row compaction) built
+/// by compile_spmm_batch, so each sweep does no timestamp arithmetic and
+/// touches only active rows. `x` and `scratch` are n*lanes,
+/// lane-interleaved; lane k's slice of `x` holds its initial guess on
+/// entry and its result on exit. `state` must come from the same
+/// compile_spmm_batch call. Non-null `parallel` runs each shared sweep as
+/// a parallel_for over rows. `simd` picks the sweep ISA (kAuto = best the
+/// CPU supports; forced modes throw InvariantError when unsupported — see
+/// simd_dispatch.hpp). Serial runs give results, residuals, and iteration
+/// counts bit-identical to the reference kernel in tests/oracle/ on every
+/// ISA.
 SpmmStats pagerank_spmm(const SpmmWindowState& state,
                         const CompiledBatchCsr& compiled, std::span<double> x,
                         std::span<double> scratch,

@@ -10,42 +10,8 @@ namespace pmpr {
 
 namespace {
 
-double sweep_rows(const MultiWindowGraph& part, Timestamp ts, Timestamp te,
-                  const WindowState& state, std::span<const double> x,
-                  std::span<double> x_next, double base,
-                  double one_minus_alpha, std::size_t lo, std::size_t hi) {
-  double diff = 0.0;
-  std::uint64_t edges = 0;  // flushed once per chunk, not per edge
-  for (std::size_t v = lo; v < hi; ++v) {
-    if (state.active[v] == 0) {
-      x_next[v] = 0.0;
-      continue;
-    }
-    double sum = 0.0;
-    part.in.for_each_active_neighbor(
-        static_cast<VertexId>(v), ts, te, [&](VertexId u) {
-          sum += x[u] / static_cast<double>(state.out_degree[u]);
-          ++edges;
-        });
-    const double next = base + one_minus_alpha * sum;
-    diff += std::abs(next - x[v]);
-    x_next[v] = next;
-  }
-  obs::count(obs::Counter::kEdgesTraversed, edges);
-  return diff;
-}
-
-double dangling_mass(const WindowState& state, std::span<const double> x) {
-  double dangling = 0.0;
-  for (std::size_t v = 0; v < x.size(); ++v) {
-    if (state.active[v] != 0 && state.out_degree[v] == 0) dangling += x[v];
-  }
-  return dangling;
-}
-
 /// Compiled-layout sweep over active_rows[lo, hi): the window's time filter
 /// was applied at compile time, so the inner loop is a plain CSR gather.
-/// Same floating-point operations as sweep_rows, in the same order.
 double sweep_compiled_rows(const CompiledWindowCsr& compiled,
                            const WindowState& state,
                            std::span<const double> x, std::span<double> x_next,
@@ -87,9 +53,8 @@ PagerankStats pagerank_window_spmv(const WindowState& state,
   const auto n_active = static_cast<double>(state.num_active);
   const double one_minus_alpha = 1.0 - params.alpha;
 
-  // Sweeps visit only active rows; inactive rows are forced to the
-  // reference kernel's 0.0 once, in both buffers (the reference rewrites
-  // them every iteration).
+  // Sweeps visit only active rows, so inactive rows are zeroed once, in
+  // both buffers.
   std::size_t next_active = 0;
   for (std::size_t v = 0; v < n; ++v) {
     if (next_active < compiled.active_rows.size() &&
@@ -142,67 +107,6 @@ PagerankStats pagerank_window_spmv(const WindowState& state,
     obs::count(obs::Counter::kDanglingScanned,
                static_cast<std::uint64_t>(stats.iterations) *
                    compiled.dangling_rows.size());
-  }
-  if (stats.converged(params)) obs::count(obs::Counter::kLanesConverged);
-
-  if (cur != x.data()) {
-    std::copy(cur, cur + n, x.data());
-  }
-  return stats;
-}
-
-PagerankStats pagerank_window_spmv(const MultiWindowGraph& part, Timestamp ts,
-                                   Timestamp te, const WindowState& state,
-                                   std::span<double> x,
-                                   std::span<double> scratch,
-                                   const PagerankParams& params,
-                                   const par::ForOptions* parallel) {
-  const std::size_t n = part.num_local();
-  assert(x.size() == n && scratch.size() == n);
-  PagerankStats stats;
-  if (state.num_active == 0) {
-    for (auto& v : x) v = 0.0;
-    return stats;
-  }
-  const auto n_active = static_cast<double>(state.num_active);
-  const double one_minus_alpha = 1.0 - params.alpha;
-
-  double* cur = x.data();
-  double* next = scratch.data();
-
-  for (int iter = 0; iter < params.max_iters; ++iter) {
-    std::span<const double> cur_span(cur, n);
-    std::span<double> next_span(next, n);
-    const double dangling = params.redistribute_dangling
-                                ? dangling_mass(state, cur_span)
-                                : 0.0;
-    const double base = (params.alpha + one_minus_alpha * dangling) / n_active;
-
-    double diff = 0.0;
-    if (parallel != nullptr) {
-      diff = par::parallel_reduce(
-          0, n, 0.0, *parallel,
-          [&](std::size_t lo, std::size_t hi) {
-            return sweep_rows(part, ts, te, state, cur_span, next_span, base,
-                              one_minus_alpha, lo, hi);
-          },
-          [](double a, double b) { return a + b; });
-    } else {
-      diff = sweep_rows(part, ts, te, state, cur_span, next_span, base,
-                        one_minus_alpha, 0, n);
-    }
-
-    std::swap(cur, next);
-    stats.iterations = iter + 1;
-    stats.final_residual = diff;
-    if (obs::metrics_enabled()) stats.residuals.push_back(diff);
-    if (diff < params.tol) break;
-  }
-  obs::count(obs::Counter::kIterations,
-             static_cast<std::uint64_t>(stats.iterations));
-  if (params.redistribute_dangling) {
-    obs::count(obs::Counter::kDanglingScanned,
-               static_cast<std::uint64_t>(stats.iterations) * n);
   }
   if (stats.converged(params)) obs::count(obs::Counter::kLanesConverged);
 

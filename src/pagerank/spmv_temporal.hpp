@@ -1,8 +1,8 @@
 // SpMV-style postmortem PageRank kernel (paper §4.1/§4.3): one window of a
-// multi-window graph at a time, pulling over the time-filtered reverse
-// temporal CSR. The traversal visits every stored event of the part once
-// per iteration — Θ(|E_w|) — which is why the multi-window partitioning
-// matters (Fig. 8).
+// multi-window graph at a time, pulling over the window's compiled reverse
+// adjacency. Compiling the window visits every stored event of the part
+// once — Θ(|E_w|) — which is why the multi-window partitioning matters
+// (Fig. 8).
 #pragma once
 
 #include <span>
@@ -14,22 +14,14 @@
 
 namespace pmpr {
 
-/// Runs PageRank for window [ts, te] of `part`. `x` (size = part locals)
-/// holds the initial guess on entry and the result on exit; `scratch`
-/// matches x. `state` must have been computed for the same window.
-/// Non-null `parallel` runs each sweep as a parallel_for (this is the
-/// paper's "application/PR-level" parallelism inside the kernel).
-PagerankStats pagerank_window_spmv(const MultiWindowGraph& part, Timestamp ts,
-                                   Timestamp te, const WindowState& state,
-                                   std::span<double> x,
-                                   std::span<double> scratch,
-                                   const PagerankParams& params,
-                                   const par::ForOptions* parallel = nullptr);
-
-/// Compiled-kernel overload: consumes the per-window compiled adjacency
-/// (time filter applied once, active-row and dangling-row compaction)
-/// built by compile_window. Bit-identical results, residuals, and
-/// iteration counts to the reference overload above.
+/// Runs PageRank for one window over its compiled adjacency (time filter
+/// applied once, active-row and dangling-row compaction) built by
+/// compile_window. `x` (size = part locals) holds the initial guess on
+/// entry and the result on exit; `scratch` matches x. `state` must come
+/// from the same compile_window call. Non-null `parallel` runs each sweep
+/// as a parallel_for (the paper's "application/PR-level" parallelism
+/// inside the kernel). Serial runs are bit-identical to the reference
+/// kernel in tests/oracle/.
 PagerankStats pagerank_window_spmv(const WindowState& state,
                                    const CompiledWindowCsr& compiled,
                                    std::span<double> x,

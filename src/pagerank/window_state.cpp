@@ -1,82 +1,9 @@
 #include "pagerank/window_state.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cassert>
 
-#include "util/check.hpp"
-
 namespace pmpr {
-
-namespace {
-
-/// Scatter pass over rows [lo, hi): every active in-edge (u -> v) marks both
-/// endpoints active and bumps u's distinct out-degree. `Atomic` selects
-/// std::atomic_ref increments for the parallel path.
-template <bool Atomic>
-void scatter_window_rows(const MultiWindowGraph& part, Timestamp ts,
-                         Timestamp te, WindowState& out, std::size_t lo,
-                         std::size_t hi) {
-  for (std::size_t v = lo; v < hi; ++v) {
-    bool v_active = false;
-    part.in.for_each_active_neighbor(
-        static_cast<VertexId>(v), ts, te, [&](VertexId u) {
-          v_active = true;
-          if constexpr (Atomic) {
-            std::atomic_ref<std::uint32_t> deg(out.out_degree[u]);
-            // relaxed: pure commutative count; published by the join.
-            deg.fetch_add(1, std::memory_order_relaxed);
-            std::atomic_ref<std::uint8_t> act(out.active[u]);
-            // relaxed: idempotent flag; published by the join.
-            act.store(1, std::memory_order_relaxed);
-          } else {
-            ++out.out_degree[u];
-            out.active[u] = 1;
-          }
-        });
-    if (v_active) {
-      if constexpr (Atomic) {
-        std::atomic_ref<std::uint8_t> act(out.active[v]);
-        // relaxed: idempotent flag; published by the join.
-        act.store(1, std::memory_order_relaxed);
-      } else {
-        out.active[v] = 1;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void compute_window_state(const MultiWindowGraph& part, Timestamp ts,
-                          Timestamp te, WindowState& out,
-                          const par::ForOptions* parallel) {
-  PMPR_CHECK_MSG(!part.is_compressed(),
-                 "compute_window_state reads the raw in-CSR; compressed "
-                 "parts require the streaming compile (compile_window)");
-  const std::size_t n = part.num_local();
-  out.resize(n);
-  if (parallel != nullptr) {
-    par::parallel_for_range(0, n, *parallel,
-                            [&](std::size_t lo, std::size_t hi) {
-                              scatter_window_rows<true>(part, ts, te, out, lo,
-                                                        hi);
-                            });
-    out.num_active = par::parallel_reduce(
-        0, n, std::size_t{0}, *parallel,
-        [&](std::size_t lo, std::size_t hi) {
-          std::size_t c = 0;
-          for (std::size_t v = lo; v < hi; ++v) c += out.active[v];
-          return c;
-        },
-        [](std::size_t a, std::size_t b) { return a + b; });
-  } else {
-    scatter_window_rows<false>(part, ts, te, out, 0, n);
-    out.num_active = 0;
-    for (std::size_t v = 0; v < n; ++v) out.num_active += out.active[v];
-  }
-}
 
 LaneSpan lane_span_containing(const WindowSpec& spec, const SpmmBatch& batch,
                               Timestamp t) {
@@ -109,95 +36,6 @@ std::uint64_t lanes_containing(const WindowSpec& spec, const SpmmBatch& batch,
   std::uint64_t word = 0;
   lanes_containing_into(spec, batch, t, &word);
   return word;
-}
-
-namespace {
-
-/// Max-width run mask on the stack; only the first mask_words_for(lanes)
-/// words are touched.
-using RunMask = std::array<std::uint64_t, mask_words_for(kMaxSpmmLanes)>;
-
-template <bool Atomic>
-void scatter_spmm_rows(const MultiWindowGraph& part, const WindowSpec& spec,
-                       const SpmmBatch& batch, SpmmWindowState& out,
-                       std::size_t lo, std::size_t hi) {
-  const std::size_t lanes = batch.lanes;
-  const std::size_t words = out.mask_words;
-  for (std::size_t v = lo; v < hi; ++v) {
-    const auto cols = part.in.row_cols(static_cast<VertexId>(v));
-    const auto times = part.in.row_times(static_cast<VertexId>(v));
-    RunMask v_mask{};
-    std::size_t i = 0;
-    while (i < cols.size()) {
-      const VertexId u = cols[i];
-      RunMask run_mask{};
-      while (i < cols.size() && cols[i] == u) {
-        lanes_containing_into(spec, batch, times[i], run_mask.data());
-        ++i;
-      }
-      if (!mask_any(run_mask.data(), words)) continue;
-      // u gains one distinct out-neighbor in every lane of run_mask.
-      for_each_set_lane(run_mask.data(), words, [&](std::size_t k) {
-        if constexpr (Atomic) {
-          std::atomic_ref<std::uint32_t> deg(out.out_degree[u * lanes + k]);
-          // relaxed: pure commutative count; published by the join.
-          deg.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ++out.out_degree[u * lanes + k];
-        }
-      });
-      for (std::size_t w = 0; w < words; ++w) {
-        v_mask[w] |= run_mask[w];
-        if (run_mask[w] == 0) continue;
-        if constexpr (Atomic) {
-          std::atomic_ref<std::uint64_t> mask(out.active_mask[u * words + w]);
-          // relaxed: commutative bit-set; published by the join.
-          mask.fetch_or(run_mask[w], std::memory_order_relaxed);
-        } else {
-          out.active_mask[u * words + w] |= run_mask[w];
-        }
-      }
-    }
-    for (std::size_t w = 0; w < words; ++w) {
-      if (v_mask[w] == 0) continue;
-      if constexpr (Atomic) {
-        std::atomic_ref<std::uint64_t> mask(out.active_mask[v * words + w]);
-        // relaxed: commutative bit-set; published by the join.
-        mask.fetch_or(v_mask[w], std::memory_order_relaxed);
-      } else {
-        out.active_mask[v * words + w] |= v_mask[w];
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void compute_spmm_state(const MultiWindowGraph& part, const WindowSpec& spec,
-                        const SpmmBatch& batch, SpmmWindowState& out,
-                        const par::ForOptions* parallel) {
-  // Release-mode check: an oversized lane count would index past the mask
-  // words (shift UB in release before PR 6's multi-word masks).
-  PMPR_CHECK_MSG(batch.lanes >= 1 && batch.lanes <= kMaxSpmmLanes,
-                 "SpMM batch lanes " << batch.lanes << " outside [1, "
-                                     << kMaxSpmmLanes << "]");
-  PMPR_CHECK_MSG(!part.is_compressed(),
-                 "compute_spmm_state reads the raw in-CSR; compressed "
-                 "parts require the streaming compile (compile_spmm_batch)");
-  const std::size_t n = part.num_local();
-  out.resize(n, batch.lanes);
-  if (parallel != nullptr) {
-    par::parallel_for_range(
-        0, n, *parallel, [&](std::size_t lo, std::size_t hi) {
-          scatter_spmm_rows<true>(part, spec, batch, out, lo, hi);
-        });
-  } else {
-    scatter_spmm_rows<false>(part, spec, batch, out, 0, n);
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    for_each_set_lane(out.mask_of(v), out.mask_words,
-                      [&](std::size_t k) { ++out.num_active[k]; });
-  }
 }
 
 }  // namespace pmpr

@@ -1,7 +1,7 @@
 // Per-window derived state over a multi-window graph's local vertex space:
-// distinct out-degrees and the active vertex set, computed by one scatter
-// pass over the reverse temporal CSR. Computed once per window (or once per
-// SpMM batch for all lanes together) and reused across power iterations.
+// distinct out-degrees and the active vertex set. Built once per window
+// (or once per SpMM batch for all lanes together) by the compile passes of
+// pagerank/batch_csr.hpp and reused across power iterations.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +26,6 @@ struct WindowState {
     num_active = 0;
   }
 };
-
-/// Computes degrees/activity for window [ts, te] of `part`. If `parallel`
-/// is non-null the scatter runs as a parallel_for (atomic increments).
-void compute_window_state(const MultiWindowGraph& part, Timestamp ts,
-                          Timestamp te, WindowState& out,
-                          const par::ForOptions* parallel = nullptr);
 
 /// Widest SpMM batch the kernels support: 8 mask words of 64 lanes. The
 /// sweep kernels are instantiated for {1, 2, 4, 8} words (see
@@ -75,12 +69,6 @@ struct SpmmWindowState {
     num_active.assign(num_lanes, 0);
   }
 };
-
-/// Computes degrees/activity for all lanes of `batch` in one pass over the
-/// part's temporal CSR (this shared pass is the SpMM saving).
-void compute_spmm_state(const MultiWindowGraph& part, const WindowSpec& spec,
-                        const SpmmBatch& batch, SpmmWindowState& out,
-                        const par::ForOptions* parallel = nullptr);
 
 /// Inclusive range of lanes whose window contains a timestamp. Because
 /// lanes are strided windows of one spec, the lanes containing any t form

@@ -42,13 +42,14 @@ TEST(Katz, MatchesBruteForcePerWindow) {
   for (std::size_t w = 0; w < spec.count; ++w) {
     const auto& part = set.part_for_window(w);
     WindowState state;
-    compute_window_state(part, spec.start(w), spec.end(w), state);
+    CompiledWindowCsr compiled;
+    compile_window(part, spec.start(w), spec.end(w), state, compiled);
     std::vector<double> x(part.num_local(), 0.0);
     std::vector<double> scratch(part.num_local());
     for (std::size_t v = 0; v < x.size(); ++v) {
       x[v] = state.active[v] ? 1.0 : 0.0;
     }
-    katz_window(part, spec.start(w), spec.end(w), state, x, scratch, tight());
+    katz_window(state, compiled, x, scratch, tight());
 
     const auto ref = brute_katz(events, spec.start(w), spec.end(w),
                                 events.num_vertices(), tight());
@@ -101,6 +102,24 @@ TEST(Katz, ParallelKernelMatchesSequential) {
   }
 }
 
+TEST(Katz, CompressedSetBitIdenticalToRaw) {
+  // Katz traverses the compiled window, which streams compressed parts, so
+  // compression must not change a single bit of any window's summary.
+  const TemporalEdgeList events = test::random_events(29, 50, 3000, 20000);
+  const WindowSpec spec = WindowSpec::cover(0, 20000, 6000, 800);
+  const MultiWindowSet raw = MultiWindowSet::build(events, spec, 3);
+  MultiWindowSet packed = MultiWindowSet::build(events, spec, 3);
+  packed.compress_in_place(/*target_chunk_entries=*/64);
+  const auto want = katz_over_windows(raw, tight());
+  const auto got = katz_over_windows(packed, tight());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    EXPECT_EQ(got[w].iterations, want[w].iterations) << "window " << w;
+    EXPECT_EQ(got[w].top_vertex, want[w].top_vertex) << "window " << w;
+    EXPECT_EQ(got[w].top_score, want[w].top_score) << "window " << w;
+  }
+}
+
 TEST(Katz, EmptyWindowZeroScores) {
   TemporalEdgeList events;
   events.add(0, 1, 100);
@@ -108,11 +127,11 @@ TEST(Katz, EmptyWindowZeroScores) {
   const WindowSpec spec{.t0 = 0, .delta = 10, .sw = 1, .count = 1};
   const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
   WindowState state;
-  compute_window_state(set.part(0), 0, 10, state);
+  CompiledWindowCsr compiled;
+  compile_window(set.part(0), 0, 10, state, compiled);
   std::vector<double> x(set.part(0).num_local(), 5.0);
   std::vector<double> scratch(x.size());
-  const KatzStats stats =
-      katz_window(set.part(0), 0, 10, state, x, scratch, tight());
+  const KatzStats stats = katz_window(state, compiled, x, scratch, tight());
   EXPECT_EQ(stats.iterations, 0);
   for (const double v : x) EXPECT_EQ(v, 0.0);
 }

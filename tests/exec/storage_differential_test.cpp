@@ -120,18 +120,6 @@ TEST(StorageDifferential, TightBudgetEvictsAndStaysExact) {
   EXPECT_GE(result.counters[obs::Counter::kPartsEvicted], 6u);
 }
 
-TEST(StorageDifferential, CompressedStorageRequiresCompiledKernels) {
-  const Scenario s = scenario();
-  PostmortemConfig cfg = base_config(KernelKind::kSpmm,
-                                     ParallelMode::kPagerank);
-  cfg.compiled_kernels = false;
-  StoreAllSink sink(s.spec.count);
-  cfg.storage = StorageKind::kCompressed;
-  EXPECT_THROW(run_postmortem(s.events, s.spec, sink, cfg), InvariantError);
-  cfg.storage = StorageKind::kOutOfCore;
-  EXPECT_THROW(run_postmortem(s.events, s.spec, sink, cfg), InvariantError);
-}
-
 TEST(StorageDifferential, PrebuiltRejectsOutOfCore) {
   const Scenario s = scenario();
   const MultiWindowSet set = MultiWindowSet::build(s.events, s.spec, 2);

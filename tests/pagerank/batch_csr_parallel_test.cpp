@@ -1,8 +1,7 @@
 // Parallel-compile race coverage for the two-pass count/prefix/fill build
-// in batch_csr.cpp (and the scatter in window_state.cpp). These tests
-// exist primarily to run under ThreadSanitizer — they are registered as
-// their own ctest binary so ci/sanitize.sh's TSan pass picks them up by
-// label. The atomicity contract they exercise is documented at the top of
+// in batch_csr.cpp. These tests exist primarily to run under
+// ThreadSanitizer — they are registered as their own ctest binary so
+// ci/sanitize.sh's TSan pass picks them up by label. The atomicity contract they exercise is documented at the top of
 // count_and_scatter_rows: row_ptr[v+1] is row-owned (plain stores in both
 // paths); out_degree and active_mask are cross-row scatters and use
 // std::atomic_ref in the parallel path only.
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "pagerank/batch_csr.hpp"
+#include "oracle/reference_kernels.hpp"
 #include "pagerank/window_state.hpp"
 #include "test_helpers.hpp"
 
@@ -66,6 +66,8 @@ TEST(BatchCsrParallel, CompileMatchesSerialAcrossWordCounts) {
   }
 }
 
+// The parallel compile's per-lane state against the serial reference
+// scatter, at a lane count (300) outside the power-of-two sweep above.
 TEST(BatchCsrParallel, ComputeSpmmStateMatchesSerial) {
   const TemporalEdgeList events = test::random_events(7102, 40, 3000, 20000);
   const WindowSpec spec{.t0 = 0, .delta = 2500, .sw = 60, .count = 300};
@@ -77,12 +79,11 @@ TEST(BatchCsrParallel, ComputeSpmmStateMatchesSerial) {
   batch.first_window = 0;
   batch.window_stride = 1;
   SpmmWindowState ref;
-  compute_spmm_state(part, spec, batch, ref);
-  SpmmWindowState par;
-  compute_spmm_state(part, spec, batch, par, &opts);
-  EXPECT_EQ(ref.out_degree, par.out_degree);
-  EXPECT_EQ(ref.active_mask, par.active_mask);
-  EXPECT_EQ(ref.num_active, par.num_active);
+  oracle::compute_spmm_state(part, spec, batch, ref);
+  const Built par = build(part, spec, batch, &opts);
+  EXPECT_EQ(ref.out_degree, par.state.out_degree);
+  EXPECT_EQ(ref.active_mask, par.state.active_mask);
+  EXPECT_EQ(ref.num_active, par.state.num_active);
 }
 
 TEST(BatchCsrParallel, RepeatedParallelCompilesAreDeterministic) {

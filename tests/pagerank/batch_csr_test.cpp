@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "oracle/reference_kernels.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr {
@@ -35,7 +36,7 @@ TEST(CompileSpmmBatch, StateIdenticalToScatter) {
   const SpmmBatch batch = batch_for(f.spec, 8, 0, 2);
 
   SpmmWindowState ref;
-  compute_spmm_state(part, f.spec, batch, ref);
+  oracle::compute_spmm_state(part, f.spec, batch, ref);
 
   SpmmWindowState state;
   CompiledBatchCsr compiled;
@@ -168,7 +169,7 @@ TEST(CompileWindow, StateIdenticalToComputeWindowState) {
 
   for (std::size_t w = 0; w < f.spec.count; w += 3) {
     WindowState ref;
-    compute_window_state(part, f.spec.start(w), f.spec.end(w), ref);
+    oracle::compute_window_state(part, f.spec.start(w), f.spec.end(w), ref);
 
     WindowState state;
     CompiledWindowCsr compiled;

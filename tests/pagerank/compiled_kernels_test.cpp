@@ -1,8 +1,8 @@
-// Differential tests: the compiled kernels (pagerank/batch_csr.hpp) must
-// agree with the reference kernels — bit-identically in serial mode (same
-// floating-point operations in the same order), within summation-order
-// rounding in parallel mode — across lane counts, strides, dangling
-// redistribution, and at the whole-runner level.
+// Differential tests: the production kernels (pagerank/batch_csr.hpp) must
+// agree with the serial reference kernels of tests/oracle/ —
+// bit-identically when run serially (same floating-point operations in the
+// same order), within summation-order rounding when run in parallel —
+// across lane counts, strides, dangling redistribution and SIMD ISAs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/config.hpp"
-#include "exec/postmortem_runner.hpp"
-#include "exec/results.hpp"
+#include "oracle/reference_kernels.hpp"
 #include "pagerank/batch_csr.hpp"
 #include "pagerank/simd_dispatch.hpp"
 #include "pagerank/spmm_temporal.hpp"
@@ -75,17 +73,17 @@ struct SpmmRun {
   SpmmStats stats;
 };
 
-SpmmRun run_reference(const Fixture& f, const SpmmBatch& batch, bool dangling,
-                      const par::ForOptions* parallel) {
+SpmmRun run_reference(const Fixture& f, const SpmmBatch& batch,
+                      bool dangling) {
   const auto& part = f.set.part(0);
   const std::size_t n = part.num_local();
   SpmmWindowState state;
-  compute_spmm_state(part, f.spec, batch, state, parallel);
+  oracle::compute_spmm_state(part, f.spec, batch, state);
   SpmmRun run;
   run.x = init_x(state, n);
   std::vector<double> scratch(n * batch.lanes);
-  run.stats = pagerank_spmm(part, f.spec, batch, state, run.x, scratch,
-                            params_with(dangling), parallel);
+  run.stats = oracle::pagerank_spmm(part, f.spec, batch, state, run.x,
+                                    scratch, params_with(dangling));
   return run;
 }
 
@@ -126,7 +124,7 @@ TEST(CompiledSpmm, SerialBitIdenticalAcrossLanesStridesDangling) {
         batch.lanes = std::min(lanes, f.spec.count);
         batch.first_window = 0;
         batch.window_stride = stride;
-        const SpmmRun ref = run_reference(f, batch, dangling, nullptr);
+        const SpmmRun ref = run_reference(f, batch, dangling);
         const SpmmRun cmp = run_compiled(f, batch, dangling, nullptr);
         ASSERT_EQ(ref.x, cmp.x) << "lanes=" << lanes << " stride=" << stride
                                 << " dangling=" << dangling;
@@ -145,7 +143,7 @@ TEST(CompiledSpmm, ParallelMatchesReference) {
       batch.lanes = std::min(lanes, f.spec.count);
       batch.first_window = 1;
       batch.window_stride = 2;
-      const SpmmRun ref = run_reference(f, batch, dangling, &opts);
+      const SpmmRun ref = run_reference(f, batch, dangling);
       const SpmmRun cmp = run_compiled(f, batch, dangling, &opts);
       ASSERT_EQ(ref.stats.iterations, cmp.stats.iterations);
       ASSERT_EQ(ref.x.size(), cmp.x.size());
@@ -169,13 +167,13 @@ TEST(CompiledSpmv, SerialBitIdenticalPerWindow) {
       const Timestamp te = f.spec.end(w);
 
       WindowState ref_state;
-      compute_window_state(part, ts, te, ref_state);
+      oracle::compute_window_state(part, ts, te, ref_state);
       std::vector<double> ref_x(n);
       std::vector<double> scratch(n);
       full_init(ref_state.active, ref_state.num_active, ref_x);
       const PagerankStats ref_stats =
-          pagerank_window_spmv(part, ts, te, ref_state, ref_x, scratch,
-                               params_with(dangling));
+          oracle::pagerank_window_spmv(part, ts, te, ref_state, ref_x,
+                                       scratch, params_with(dangling));
 
       WindowState state;
       CompiledWindowCsr compiled;
@@ -203,12 +201,12 @@ TEST(CompiledSpmv, ParallelMatchesReference) {
   const Timestamp te = f.spec.end(w);
 
   WindowState ref_state;
-  compute_window_state(part, ts, te, ref_state, &opts);
+  oracle::compute_window_state(part, ts, te, ref_state);
   std::vector<double> ref_x(n);
   std::vector<double> scratch(n);
   full_init(ref_state.active, ref_state.num_active, ref_x);
-  const PagerankStats ref_stats = pagerank_window_spmv(
-      part, ts, te, ref_state, ref_x, scratch, params_with(true), &opts);
+  const PagerankStats ref_stats = oracle::pagerank_window_spmv(
+      part, ts, te, ref_state, ref_x, scratch, params_with(true));
 
   WindowState state;
   CompiledWindowCsr compiled;
@@ -244,7 +242,7 @@ TEST(CompiledSpmm, WideLanesSerialBitIdentical) {
         batch.first_window = 0;
         batch.window_stride = stride;
         ASSERT_LE(batch.window_of_lane(lanes - 1), f.spec.count - 1);
-        const SpmmRun ref = run_reference(f, batch, dangling, nullptr);
+        const SpmmRun ref = run_reference(f, batch, dangling);
         const SpmmRun cmp = run_compiled(f, batch, dangling, nullptr);
         ASSERT_EQ(ref.x, cmp.x) << "lanes=" << lanes << " stride=" << stride
                                 << " dangling=" << dangling;
@@ -262,7 +260,7 @@ TEST(CompiledSpmm, WideLanesParallelMatchesReference) {
     batch.lanes = lanes;
     batch.first_window = 0;
     batch.window_stride = 1;
-    const SpmmRun ref = run_reference(f, batch, true, &opts);
+    const SpmmRun ref = run_reference(f, batch, true);
     const SpmmRun cmp = run_compiled(f, batch, true, &opts);
     ASSERT_EQ(ref.stats.iterations, cmp.stats.iterations);
     ASSERT_EQ(ref.x.size(), cmp.x.size());
@@ -340,7 +338,7 @@ TEST(CompiledSpmm, MalformedLaneCountsThrow) {
     batch.window_stride = 1;
     SpmmWindowState state;
     CompiledBatchCsr compiled;
-    EXPECT_THROW(compute_spmm_state(part, f.spec, batch, state),
+    EXPECT_THROW(oracle::compute_spmm_state(part, f.spec, batch, state),
                  InvariantError)
         << lanes;
     EXPECT_THROW(
@@ -376,64 +374,6 @@ TEST(CompiledSpmm, EmptyLaneStaysZero) {
     lane0 += x[v * 2 + 0];
   }
   EXPECT_NEAR(lane0, 1.0, 1e-9);
-}
-
-/// Whole-runner differential: the compiled_kernels flag must not change
-/// any window's result for either kernel kind. ParallelMode::kWindow keeps
-/// each kernel serial (parallelism across windows only), so checksums are
-/// bit-identical.
-TEST(CompiledRunner, FlagPreservesResultsExactlyInWindowMode) {
-  const Fixture f(1605);
-  const MultiWindowSet set = MultiWindowSet::build(f.events, f.spec, 3);
-  for (const KernelKind kernel : {KernelKind::kSpmv, KernelKind::kSpmm}) {
-    PostmortemConfig cfg;
-    cfg.mode = ParallelMode::kWindow;
-    cfg.kernel = kernel;
-    cfg.vector_length = 8;
-    cfg.pr.tol = 1e-10;
-
-    cfg.compiled_kernels = false;
-    ChecksumSink ref(f.spec.count);
-    const RunResult ref_result = run_postmortem_prebuilt(set, ref, cfg);
-
-    cfg.compiled_kernels = true;
-    ChecksumSink cmp(f.spec.count);
-    const RunResult cmp_result = run_postmortem_prebuilt(set, cmp, cfg);
-
-    EXPECT_EQ(ref.weighted(), cmp.weighted())
-        << to_string(kernel);
-    EXPECT_EQ(ref.mass(), cmp.mass()) << to_string(kernel);
-    EXPECT_EQ(ref_result.iterations_per_window,
-              cmp_result.iterations_per_window)
-        << to_string(kernel);
-  }
-}
-
-TEST(CompiledRunner, FlagPreservesResultsInNestedMode) {
-  const Fixture f(1706);
-  const MultiWindowSet set = MultiWindowSet::build(f.events, f.spec, 2);
-  for (const KernelKind kernel : {KernelKind::kSpmv, KernelKind::kSpmm}) {
-    PostmortemConfig cfg;
-    cfg.mode = ParallelMode::kNested;
-    cfg.kernel = kernel;
-    cfg.vector_length = 8;
-    cfg.pr.tol = 1e-10;
-
-    cfg.compiled_kernels = false;
-    ChecksumSink ref(f.spec.count);
-    run_postmortem_prebuilt(set, ref, cfg);
-
-    cfg.compiled_kernels = true;
-    ChecksumSink cmp(f.spec.count);
-    run_postmortem_prebuilt(set, cmp, cfg);
-
-    for (std::size_t w = 0; w < f.spec.count; ++w) {
-      EXPECT_NEAR(ref.weighted()[w], cmp.weighted()[w], 1e-7)
-          << to_string(kernel) << " window " << w;
-      EXPECT_NEAR(ref.mass()[w], cmp.mass()[w], 1e-9)
-          << to_string(kernel) << " window " << w;
-    }
-  }
 }
 
 }  // namespace

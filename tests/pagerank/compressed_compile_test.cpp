@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "obs/counters.hpp"
+#include "oracle/reference_kernels.hpp"
 #include "pagerank/batch_csr.hpp"
 #include "par/parallel_for.hpp"
 #include "test_helpers.hpp"
@@ -169,11 +170,12 @@ TEST(CompressedCompile, ReferenceStateComputationRejectsCompressedParts) {
   const Fixture f(909);
   const SpmmBatch batch = batch_for(f.spec, 4, 0, 1);
   SpmmWindowState spmm_state;
-  EXPECT_THROW(compute_spmm_state(f.packed.part(0), f.spec, batch, spmm_state),
-               InvariantError);
+  EXPECT_THROW(
+      oracle::compute_spmm_state(f.packed.part(0), f.spec, batch, spmm_state),
+      InvariantError);
   WindowState state;
-  EXPECT_THROW(compute_window_state(f.packed.part(0), f.spec.start(0),
-                                    f.spec.end(0), state),
+  EXPECT_THROW(oracle::compute_window_state(f.packed.part(0), f.spec.start(0),
+                                            f.spec.end(0), state),
                InvariantError);
 }
 

@@ -6,7 +6,7 @@
 #include <numeric>
 #include <tuple>
 
-#include "pagerank/propagation_blocking.hpp"
+#include "pagerank/batch_csr.hpp"
 #include "pagerank/spmv_temporal.hpp"
 #include "test_helpers.hpp"
 
@@ -37,23 +37,17 @@ TEST_P(PagerankParamSweep, AllKernelsAgree) {
   full_init(g.is_active, g.num_active, pull);
   pagerank(g, pull, scratch, p);
 
-  // Propagation-blocking push kernel.
-  const PushGraph pg = PushGraph::from_events(events.slice(ts, te), n);
-  std::vector<double> push(n);
-  full_init(pg.is_active, pg.num_active, push);
-  pagerank_propagation_blocking(pg, push, scratch, p);
-  EXPECT_LT(test::linf_diff(pull, push), 1e-10);
-
   // Temporal SpMV kernel through a multi-window part.
   const WindowSpec spec{.t0 = ts, .delta = te - ts, .sw = 1, .count = 1};
   const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
   const auto& part = set.part(0);
   WindowState state;
-  compute_window_state(part, ts, te, state);
+  CompiledWindowCsr compiled;
+  compile_window(part, ts, te, state, compiled);
   std::vector<double> x(part.num_local());
   std::vector<double> tmp(part.num_local());
   full_init(state.active, state.num_active, x);
-  pagerank_window_spmv(part, ts, te, state, x, tmp, p);
+  pagerank_window_spmv(state, compiled, x, tmp, p);
   std::vector<double> temporal(n, 0.0);
   for (VertexId v = 0; v < part.num_local(); ++v) {
     temporal[part.global_of(v)] = x[v];

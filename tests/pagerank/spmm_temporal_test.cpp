@@ -4,7 +4,8 @@
 
 #include <numeric>
 
-#include "pagerank/spmv_temporal.hpp"
+#include "oracle/reference_kernels.hpp"
+#include "pagerank/batch_csr.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr {
@@ -36,7 +37,8 @@ std::vector<std::vector<double>> run_batch(
   const auto& part = f.set.part(0);
   const std::size_t n = part.num_local();
   SpmmWindowState state;
-  compute_spmm_state(part, f.spec, batch, state, parallel);
+  CompiledBatchCsr compiled;
+  compile_spmm_batch(part, f.spec, batch, state, compiled, parallel);
 
   std::vector<double> x(n * batch.lanes);
   std::vector<double> scratch(n * batch.lanes);
@@ -50,8 +52,7 @@ std::vector<std::vector<double>> run_batch(
           (state.active_mask[v] >> k & 1) != 0 ? uniform : 0.0;
     }
   }
-  pagerank_spmm(part, f.spec, batch, state, x, scratch, tight_params(),
-                parallel);
+  pagerank_spmm(state, compiled, x, scratch, tight_params(), parallel);
 
   std::vector<std::vector<double>> out(
       batch.lanes, std::vector<double>(f.events.num_vertices(), 0.0));
@@ -105,12 +106,12 @@ TEST(SpmmTemporal, MatchesSpmvPerWindow) {
     const std::size_t w = batch.window_of_lane(k);
     if (w >= f.spec.count) continue;
     WindowState state;
-    compute_window_state(part, f.spec.start(w), f.spec.end(w), state);
+    oracle::compute_window_state(part, f.spec.start(w), f.spec.end(w), state);
     std::vector<double> x(part.num_local());
     std::vector<double> scratch(part.num_local());
     full_init(state.active, state.num_active, x);
-    pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), state, x,
-                         scratch, tight_params());
+    oracle::pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), state,
+                                 x, scratch, tight_params());
     std::vector<double> dense(f.events.num_vertices(), 0.0);
     for (VertexId v = 0; v < part.num_local(); ++v) {
       dense[part.global_of(v)] = x[v];
@@ -147,7 +148,9 @@ TEST(SpmmTemporal, EachLaneIsDistribution) {
 
 TEST(SpmmTemporal, EmptyLaneStaysZero) {
   // Construct events only in early windows; a lane pointing at a late,
-  // empty window must come back all-zero while other lanes converge.
+  // empty window must come back all-zero from the reference kernel while
+  // other lanes converge (CompiledSpmm.EmptyLaneStaysZero checks the
+  // production kernel).
   TemporalEdgeList events;
   for (int i = 0; i < 50; ++i) {
     events.add(static_cast<VertexId>(i % 5),
@@ -159,14 +162,14 @@ TEST(SpmmTemporal, EmptyLaneStaysZero) {
   const auto& part = set.part(0);
   SpmmBatch batch{.lanes = 2, .first_window = 0, .window_stride = 1};
   SpmmWindowState state;
-  compute_spmm_state(part, spec, batch, state);
+  oracle::compute_spmm_state(part, spec, batch, state);
   EXPECT_GT(state.num_active[0], 0u);
   EXPECT_EQ(state.num_active[1], 0u);
 
   const std::size_t n = part.num_local();
   std::vector<double> x(n * 2, 0.5);
   std::vector<double> scratch(n * 2);
-  pagerank_spmm(part, spec, batch, state, x, scratch, tight_params());
+  oracle::pagerank_spmm(part, spec, batch, state, x, scratch, tight_params());
   double lane0 = 0.0;
   for (std::size_t v = 0; v < n; ++v) {
     EXPECT_EQ(x[v * 2 + 1], 0.0);
@@ -180,7 +183,8 @@ TEST(SpmmTemporal, LaneIterationsReported) {
   SpmmBatch batch{.lanes = 4, .first_window = 0, .window_stride = 2};
   const auto& part = f.set.part(0);
   SpmmWindowState state;
-  compute_spmm_state(part, f.spec, batch, state);
+  CompiledBatchCsr compiled;
+  compile_spmm_batch(part, f.spec, batch, state, compiled);
   const std::size_t n = part.num_local();
   std::vector<double> x(n * 4);
   std::vector<double> scratch(n * 4);
@@ -194,8 +198,7 @@ TEST(SpmmTemporal, LaneIterationsReported) {
   }
   PagerankParams p;
   p.tol = 1e-9;
-  const SpmmStats stats =
-      pagerank_spmm(part, f.spec, batch, state, x, scratch, p);
+  const SpmmStats stats = pagerank_spmm(state, compiled, x, scratch, p);
   EXPECT_EQ(stats.lane_stats.size(), 4u);
   int max_lane_iters = 0;
   for (const auto& ls : stats.lane_stats) {

@@ -32,12 +32,13 @@ std::vector<double> run_window(const Fixture& f, std::size_t w,
                                const par::ForOptions* parallel = nullptr) {
   const auto& part = f.set.part_for_window(w);
   WindowState state;
-  compute_window_state(part, f.spec.start(w), f.spec.end(w), state, parallel);
+  CompiledWindowCsr compiled;
+  compile_window(part, f.spec.start(w), f.spec.end(w), state, compiled,
+                 parallel);
   std::vector<double> x(part.num_local());
   std::vector<double> scratch(part.num_local());
   full_init(state.active, state.num_active, x);
-  pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), state, x,
-                       scratch, tight_params(), parallel);
+  pagerank_window_spmv(state, compiled, x, scratch, tight_params(), parallel);
   // Map to global space for comparison.
   std::vector<double> dense(f.events.num_vertices(), 0.0);
   for (VertexId local = 0; local < part.num_local(); ++local) {
@@ -99,11 +100,12 @@ TEST(SpmvTemporal, EmptyWindowZeroVector) {
   const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
   const auto& part = set.part(0);
   WindowState state;
-  compute_window_state(part, 0, 10, state);
+  CompiledWindowCsr compiled;
+  compile_window(part, 0, 10, state, compiled);
   std::vector<double> x(part.num_local(), 99.0);
   std::vector<double> scratch(part.num_local());
-  const PagerankStats stats = pagerank_window_spmv(part, 0, 10, state, x,
-                                                   scratch, tight_params());
+  const PagerankStats stats =
+      pagerank_window_spmv(state, compiled, x, scratch, tight_params());
   EXPECT_EQ(stats.iterations, 0);
   for (const double v : x) EXPECT_EQ(v, 0.0);
 }
@@ -120,28 +122,27 @@ TEST(SpmvTemporal, WarmStartConvergesFasterThanCold) {
   // Converge window w fully, then use it as the start for window w+1.
   std::size_t w = f.spec.count / 2;
   WindowState sw_state;
-  compute_window_state(part, f.spec.start(w), f.spec.end(w), sw_state);
+  CompiledWindowCsr sw_compiled;
+  compile_window(part, f.spec.start(w), f.spec.end(w), sw_state, sw_compiled);
   std::vector<double> prev(part.num_local());
   std::vector<double> scratch(part.num_local());
   full_init(sw_state.active, sw_state.num_active, prev);
-  pagerank_window_spmv(part, f.spec.start(w), f.spec.end(w), sw_state, prev,
-                       scratch, p);
+  pagerank_window_spmv(sw_state, sw_compiled, prev, scratch, p);
 
   WindowState next_state;
-  compute_window_state(part, f.spec.start(w + 1), f.spec.end(w + 1),
-                       next_state);
+  CompiledWindowCsr next_compiled;
+  compile_window(part, f.spec.start(w + 1), f.spec.end(w + 1), next_state,
+                 next_compiled);
   std::vector<double> cold(part.num_local());
   full_init(next_state.active, next_state.num_active, cold);
   const PagerankStats cold_stats =
-      pagerank_window_spmv(part, f.spec.start(w + 1), f.spec.end(w + 1),
-                           next_state, cold, scratch, p);
+      pagerank_window_spmv(next_state, next_compiled, cold, scratch, p);
 
   std::vector<double> warm(part.num_local());
   partial_init(prev, sw_state.active, next_state.active,
                next_state.num_active, warm);
   const PagerankStats warm_stats =
-      pagerank_window_spmv(part, f.spec.start(w + 1), f.spec.end(w + 1),
-                           next_state, warm, scratch, p);
+      pagerank_window_spmv(next_state, next_compiled, warm, scratch, p);
 
   EXPECT_LE(warm_stats.iterations, cold_stats.iterations);
   EXPECT_LT(test::linf_diff(cold, warm), 1e-8);

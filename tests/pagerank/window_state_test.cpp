@@ -4,6 +4,8 @@
 
 #include "graph/csr.hpp"
 #include "graph/multi_window.hpp"
+#include "oracle/reference_kernels.hpp"
+#include "pagerank/batch_csr.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr {
@@ -22,7 +24,8 @@ TEST(WindowState, MatchesWindowGraphDegrees) {
 
   for (std::size_t w = 0; w < spec.count; w += 2) {
     WindowState state;
-    compute_window_state(part, spec.start(w), spec.end(w), state);
+    CompiledWindowCsr compiled;
+    compile_window(part, spec.start(w), spec.end(w), state, compiled);
     const WindowGraph ref = build_window_graph(
         events.slice(spec.start(w), spec.end(w)), events.num_vertices());
 
@@ -37,6 +40,7 @@ TEST(WindowState, MatchesWindowGraphDegrees) {
   }
 }
 
+// The parallel compile's state against the serial reference scatter.
 TEST(WindowState, ParallelMatchesSequential) {
   const TemporalEdgeList events = test::random_events(5, 80, 4000, 20000);
   const WindowSpec spec = WindowSpec::cover(0, 20000, 6000, 2000);
@@ -47,8 +51,9 @@ TEST(WindowState, ParallelMatchesSequential) {
   for (std::size_t w = 0; w < spec.count; ++w) {
     WindowState seq;
     WindowState parl;
-    compute_window_state(part, spec.start(w), spec.end(w), seq);
-    compute_window_state(part, spec.start(w), spec.end(w), parl, &opts);
+    CompiledWindowCsr compiled;
+    oracle::compute_window_state(part, spec.start(w), spec.end(w), seq);
+    compile_window(part, spec.start(w), spec.end(w), parl, compiled, &opts);
     EXPECT_EQ(seq.num_active, parl.num_active);
     EXPECT_EQ(seq.out_degree, parl.out_degree);
     EXPECT_EQ(seq.active, parl.active);
@@ -60,7 +65,8 @@ TEST(WindowState, EmptyWindowAllZero) {
   const WindowSpec spec{.t0 = 0, .delta = 50, .sw = 1, .count = 1};
   const MultiWindowSet set = one_part_set(events, spec);
   WindowState state;
-  compute_window_state(set.part(0), 0, 50, state);
+  CompiledWindowCsr compiled;
+  compile_window(set.part(0), 0, 50, state, compiled);
   EXPECT_EQ(state.num_active, 0u);
 }
 
@@ -175,13 +181,14 @@ TEST(SpmmState, AgreesWithPerWindowState) {
   batch.window_stride = spec.count / batch.lanes > 0 ? spec.count / batch.lanes : 1;
 
   SpmmWindowState spmm;
-  compute_spmm_state(part, spec, batch, spmm);
+  CompiledBatchCsr compiled;
+  compile_spmm_batch(part, spec, batch, spmm, compiled);
 
   for (std::size_t k = 0; k < batch.lanes; ++k) {
     const std::size_t w = batch.window_of_lane(k);
     if (w >= spec.count) continue;
     WindowState single;
-    compute_window_state(part, spec.start(w), spec.end(w), single);
+    oracle::compute_window_state(part, spec.start(w), spec.end(w), single);
     EXPECT_EQ(spmm.num_active[k], single.num_active) << "lane " << k;
     for (VertexId v = 0; v < part.num_local(); ++v) {
       ASSERT_EQ(spmm.out_degree[v * batch.lanes + k], single.out_degree[v])
@@ -193,6 +200,8 @@ TEST(SpmmState, AgreesWithPerWindowState) {
   }
 }
 
+// The parallel batch compile's state against the serial reference
+// scatter.
 TEST(SpmmState, ParallelMatchesSequential) {
   const TemporalEdgeList events = test::random_events(9, 60, 3000, 30000);
   const WindowSpec spec = WindowSpec::cover(0, 30000, 8000, 1500);
@@ -202,9 +211,10 @@ TEST(SpmmState, ParallelMatchesSequential) {
   SpmmBatch batch{.lanes = 4, .first_window = 1, .window_stride = 3};
   SpmmWindowState seq;
   SpmmWindowState parl;
+  CompiledBatchCsr compiled;
   par::ForOptions opts{par::Partitioner::kAuto, 2, nullptr};
-  compute_spmm_state(part, spec, batch, seq);
-  compute_spmm_state(part, spec, batch, parl, &opts);
+  oracle::compute_spmm_state(part, spec, batch, seq);
+  compile_spmm_batch(part, spec, batch, parl, compiled, &opts);
   EXPECT_EQ(seq.out_degree, parl.out_degree);
   EXPECT_EQ(seq.active_mask, parl.active_mask);
   EXPECT_EQ(seq.num_active, parl.num_active);
