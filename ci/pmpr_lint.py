@@ -110,13 +110,10 @@ ALLOW = {
     "atomic-order-comment": set(),
     "raw-concurrency-type": {
         "src/util/thread_annotations.hpp",
-        # The sampling profiler owns one background std::thread; its mutex
-        # and condvar still go through the annotated wrappers.
-        "src/obs/sampler.hpp",
-        "src/obs/sampler.cpp",
-        # Same structure for the watchdog monitor thread.
-        "src/obs/watchdog.hpp",
-        "src/obs/watchdog.cpp",
+        # The one telemetry monitor-thread loop (sampler and watchdog both
+        # run on it) owns a background std::thread; its mutex and condvar
+        # still go through the annotated wrappers.
+        "src/obs/ticker.hpp",
     },
     "reinterpret-cast-outside-io": {
         "src/graph/edge_list.cpp",
@@ -138,16 +135,12 @@ ALLOW = {
         # wraps a bare `new` in unique_ptr on the same line.
         "src/graph/paged_multi_window.cpp",
         # Leaked telemetry registries: static-destruction-order safety for
-        # pool worker threads flushing counters/spans at exit.
-        "src/obs/counters.cpp",
+        # pool worker threads flushing telemetry at exit, and the crash
+        # handler may read the per-thread slots at any point of the
+        # process's death. ThreadSlots backs every fixed-slot pillar; the
+        # trace registry holds the growable span buffers.
+        "src/obs/thread_slots.hpp",
         "src/obs/trace.cpp",
-        "src/obs/histogram.cpp",
-        "src/obs/memory.cpp",
-        # Flight recorder + heartbeat registries: leaked for the same
-        # exit-order reason, plus the crash handler may read them at any
-        # point of the process's death.
-        "src/obs/flightrec.cpp",
-        "src/obs/watchdog.cpp",
     },
     "raw-clock": set(),
     "simd-intrinsics-confined": set(),

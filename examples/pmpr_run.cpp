@@ -191,12 +191,19 @@ int main(int argc, char** argv) {
     result = run_postmortem(events, windows, sink, config);
   }
 
+  // peak_memory_bytes is the tagged-allocation watermark when accounting
+  // measured one, else the model's formula. Neither is the process RSS
+  // (maxrss below), so say which figure this is.
+  const bool tracked_peak =
+      result.memory.total_peak_bytes > 0 &&
+      result.peak_memory_bytes == result.memory.total_peak_bytes;
   std::printf("%-10s : build %7.3fs  compute %7.3fs  total %7.3fs  "
-              "(%llu iterations, ~%.1f MiB peak)\n",
+              "(%llu iterations, %.1f MiB %s)\n",
               model.c_str(), result.build_seconds, result.compute_seconds,
               result.total_seconds(),
               static_cast<unsigned long long>(result.total_iterations),
-              static_cast<double>(result.peak_memory_bytes) / (1024 * 1024));
+              static_cast<double>(result.peak_memory_bytes) / (1024 * 1024),
+              tracked_peak ? "tracked peak" : "model estimate");
   // Order-independent digest of every window's ranks; two runs that agree
   // bit-for-bit print the same value (ci/oocore_smoke.sh diffs this line
   // between storage kinds).

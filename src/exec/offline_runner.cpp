@@ -8,8 +8,8 @@
 #include "obs/counters.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/histogram.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -43,9 +43,7 @@ PagerankStats solve_window(const TemporalEdgeList& events,
   Timer build_timer;
   PMPR_TRACE_SPAN("offline.window");
   const WindowGraph g = [&] {
-    PMPR_TRACE_SPAN("window.build");
-    PMPR_FR_PHASE("window.build", w);
-    obs::PhaseTimer timing(obs::Phase::kBuild);
+    PMPR_PHASE("window.build", obs::Phase::kBuild, w);
     const auto slice = events.slice(spec.start(w), spec.end(w));
     return build_window_graph(slice, events.num_vertices());
   }();
@@ -57,14 +55,10 @@ PagerankStats solve_window(const TemporalEdgeList& events,
   x.resize(g.num_vertices);
   scratch.resize(g.num_vertices);
   {
-    PMPR_TRACE_SPAN("window.init");
-    PMPR_FR_PHASE("window.init", w);
-    obs::PhaseTimer timing(obs::Phase::kInit);
+    PMPR_PHASE("window.init", obs::Phase::kInit, w);
     full_init(g.is_active, g.num_active, x);
   }
-  PMPR_TRACE_SPAN("window.iterate");
-  PMPR_FR_PHASE("window.iterate", w);
-  obs::PhaseTimer iterate_timing(obs::Phase::kIterate);
+  PMPR_PHASE("window.iterate", obs::Phase::kIterate, w);
   PagerankStats stats = pagerank(g, x, scratch, opts.pr, kernel_par);
   compute_seconds = compute_timer.seconds();
   obs::count(obs::Counter::kWindowsProcessed);
@@ -118,9 +112,7 @@ RunResult run_offline(const TemporalEdgeList& events, const WindowSpec& spec,
                        scratch, build, compute, window_memory[w]);
       record(w, std::move(stats));
       {
-        PMPR_TRACE_SPAN("window.sink");
-        PMPR_FR_PHASE("window.sink", w);
-        obs::PhaseTimer timing(obs::Phase::kSink);
+        PMPR_PHASE("window.sink", obs::Phase::kSink, w);
         sink.consume_dense(w, x);
       }
       // relaxed (both): commutative time totals, read only after the
@@ -145,9 +137,7 @@ RunResult run_offline(const TemporalEdgeList& events, const WindowSpec& spec,
                                          window_memory[w]);
       record(w, std::move(stats));
       {
-        PMPR_TRACE_SPAN("window.sink");
-        PMPR_FR_PHASE("window.sink", w);
-        obs::PhaseTimer timing(obs::Phase::kSink);
+        PMPR_PHASE("window.sink", obs::Phase::kSink, w);
         sink.consume_dense(w, x);
       }
       result.build_seconds += build;

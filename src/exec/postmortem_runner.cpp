@@ -10,8 +10,8 @@
 #include "obs/flightrec.hpp"
 #include "obs/histogram.hpp"
 #include "obs/memory.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "pagerank/partial_init.hpp"
 #include "pagerank/spmm_temporal.hpp"
 #include "pagerank/spmv_temporal.hpp"
@@ -284,9 +284,7 @@ class PostmortemDriver {
     st.x.resize(n);
     st.scratch.resize(n);
     {
-      PMPR_TRACE_SPAN("window.build");
-      PMPR_FR_PHASE("window.build", w);
-      obs::PhaseTimer timing(obs::Phase::kBuild);
+      PMPR_PHASE("window.build", obs::Phase::kBuild, w);
       compile_window(part, ts, te, st.ws, st.compiled_win, kernel_par_,
                      &st.decode_scratch);
     }
@@ -296,9 +294,7 @@ class PostmortemDriver {
                          st.carry_index == item.index - 1 &&
                          st.prev_x.size() == n;
     {
-      PMPR_TRACE_SPAN("window.init");
-      PMPR_FR_PHASE("window.init", w);
-      obs::PhaseTimer timing(obs::Phase::kInit);
+      PMPR_PHASE("window.init", obs::Phase::kInit, w);
       if (partial) {
         partial_init(st.prev_x, st.prev_active, st.ws.active, st.ws.num_active,
                      st.x);
@@ -309,9 +305,7 @@ class PostmortemDriver {
 
     PagerankStats stats;
     {
-      PMPR_TRACE_SPAN("window.iterate");
-      PMPR_FR_PHASE("window.iterate", w);
-      obs::PhaseTimer timing(obs::Phase::kIterate);
+      PMPR_PHASE("window.iterate", obs::Phase::kIterate, w);
       stats = pagerank_window_spmv(st.ws, st.compiled_win, st.x, st.scratch,
                                    cfg_.pr, kernel_par_);
     }
@@ -321,9 +315,7 @@ class PostmortemDriver {
     obs::count(obs::Counter::kWindowsProcessed);
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, w, stats.iterations);
     {
-      PMPR_TRACE_SPAN("window.sink");
-      PMPR_FR_PHASE("window.sink", w);
-      obs::PhaseTimer timing(obs::Phase::kSink);
+      PMPR_PHASE("window.sink", obs::Phase::kSink, w);
       sink_.consume_mapped(w, part.local_to_global, st.x);
       // Read-amplification denominator: rank bytes this window delivered.
       obs::count(obs::Counter::kWindowOutputBytes, n * sizeof(double));
@@ -352,9 +344,7 @@ class PostmortemDriver {
     st.x.resize(n * lanes);
     st.scratch.resize(n * lanes);
     {
-      PMPR_TRACE_SPAN("batch.build");
-      PMPR_FR_PHASE("batch.build", batch.first_window);
-      obs::PhaseTimer timing(obs::Phase::kBuild);
+      PMPR_PHASE("batch.build", obs::Phase::kBuild, batch.first_window);
       compile_spmm_batch(part, spec_, batch, st.spmm_ws, st.compiled_batch,
                          kernel_par_, &st.decode_scratch);
     }
@@ -365,9 +355,7 @@ class PostmortemDriver {
                          st.prev_lanes >= lanes &&
                          st.prev_x.size() == n * st.prev_lanes;
     {
-      PMPR_TRACE_SPAN("batch.init");
-      PMPR_FR_PHASE("batch.init", batch.first_window);
-      obs::PhaseTimer timing(obs::Phase::kInit);
+      PMPR_PHASE("batch.init", obs::Phase::kInit, batch.first_window);
       const std::size_t words = st.spmm_ws.mask_words;
       for (std::size_t k = 0; k < lanes; ++k) {
         if (partial) {
@@ -393,9 +381,7 @@ class PostmortemDriver {
 
     SpmmStats stats;
     {
-      PMPR_TRACE_SPAN("batch.iterate");
-      PMPR_FR_PHASE("batch.iterate", batch.first_window);
-      obs::PhaseTimer timing(obs::Phase::kIterate);
+      PMPR_PHASE("batch.iterate", obs::Phase::kIterate, batch.first_window);
       stats = pagerank_spmm(st.spmm_ws, st.compiled_batch, st.x, st.scratch,
                             cfg_.pr, kernel_par_, cfg_.simd);
     }
@@ -403,9 +389,7 @@ class PostmortemDriver {
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, batch.first_window,
                    lanes);
 
-    PMPR_TRACE_SPAN("batch.sink");
-    PMPR_FR_PHASE("batch.sink", batch.first_window);
-    obs::PhaseTimer sink_timing(obs::Phase::kSink);
+    PMPR_PHASE("batch.sink", obs::Phase::kSink, batch.first_window);
     st.lane_buf.resize(n);
     for (std::size_t k = 0; k < lanes; ++k) {
       const std::size_t w = batch.window_of_lane(k);
@@ -579,8 +563,7 @@ RunResult run_postmortem(const TemporalEdgeList& events,
   if (config.storage == StorageKind::kOutOfCore) {
     std::unique_ptr<PagedMultiWindowSet> paged;
     {
-      PMPR_TRACE_SPAN("postmortem.build_paged_store");
-      obs::PhaseTimer timing(obs::Phase::kBuild);
+      PMPR_PHASE("postmortem.build_paged_store", obs::Phase::kBuild, 0);
       PagedMultiWindowSet::Options opts;
       opts.num_parts = config.num_multi_windows;
       opts.policy = config.partition_policy;
@@ -596,8 +579,7 @@ RunResult run_postmortem(const TemporalEdgeList& events,
   }
 
   MultiWindowSet set = [&] {
-    PMPR_TRACE_SPAN("postmortem.build_representation");
-    obs::PhaseTimer timing(obs::Phase::kBuild);
+    PMPR_PHASE("postmortem.build_representation", obs::Phase::kBuild, 0);
     MultiWindowSet s = MultiWindowSet::build(
         events, spec, config.num_multi_windows, config.partition_policy);
     if (config.storage == StorageKind::kCompressed) s.compress_in_place();

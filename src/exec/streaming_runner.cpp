@@ -6,8 +6,8 @@
 #include "obs/counters.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/histogram.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "streaming/delta_pagerank.hpp"
 #include "streaming/dynamic_graph.hpp"
 #include "streaming/incremental_pagerank.hpp"
@@ -100,10 +100,8 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
     WindowBatches batches;
     {
       ScopedAccum timing(mutate_timer);
-      PMPR_TRACE_SPAN("window.mutate");
-      PMPR_FR_PHASE("window.mutate", w);
       // Graph mutation is the streaming model's "build" phase.
-      obs::PhaseTimer phase_timing(obs::Phase::kBuild);
+      PMPR_PHASE("window.mutate", obs::Phase::kBuild, w);
       batches = advance_graph(graph, events, spec, w);
       if (opts.validate) graph.validate();
     }
@@ -111,11 +109,9 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
     PagerankStats stats;
     {
       ScopedAccum timing(compute_timer);
-      PMPR_TRACE_SPAN("window.iterate");
-      PMPR_FR_PHASE("window.iterate", w);
       // Warm-restart/delta re-seeding happens inside update(): the iterate
       // phase covers init for the streaming model.
-      obs::PhaseTimer phase_timing(obs::Phase::kIterate);
+      PMPR_PHASE("window.iterate", obs::Phase::kIterate, w);
       if (use_delta) {
         if (!opts.incremental) delta.reset();
         stats = delta.update(batches.inserted, batches.removed).pagerank;
@@ -132,9 +128,7 @@ RunResult run_streaming(const TemporalEdgeList& events, const WindowSpec& spec,
     max_live_edges = std::max(max_live_edges, graph.num_edges());
     obs::count(obs::Counter::kWindowsProcessed);
     obs::fr_record(obs::FrEvent::kWindowDone, nullptr, w, stats.iterations);
-    PMPR_TRACE_SPAN("window.sink");
-    PMPR_FR_PHASE("window.sink", w);
-    obs::PhaseTimer sink_timing(obs::Phase::kSink);
+    PMPR_PHASE("window.sink", obs::Phase::kSink, w);
     sink.consume_dense(w, use_delta ? delta.values() : warm.values());
   }
   result.build_seconds = mutate_timer.seconds();

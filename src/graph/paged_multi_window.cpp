@@ -8,9 +8,8 @@
 #include <utility>
 
 #include "obs/flightrec.hpp"
-#include "obs/histogram.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "util/check.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -178,14 +177,13 @@ PagedMultiWindowSet::Lease PagedMultiWindowSet::acquire(std::size_t p) {
   if (!slot.graph.is_compressed()) {
     const bool refault = slot.ever_mapped;
     if (refault) ++stats_.part_refaults;
-    // Map-fault latency: the timeline span distinguishes first faults from
+    // Map-fault latency: the phase name distinguishes first faults from
     // refaults; the distribution lands in the io.page phase histogram.
-    PMPR_TRACE_SPAN(refault ? "oocore.refault" : "oocore.map");
-    obs::PhaseTimer timing(obs::Phase::kPage);
     // Paging is I/O-bound and can legitimately be the slowest thing in a
-    // run: beat the heartbeat so the watchdog knows the thread is in here,
-    // and breadcrumb refaults (a refault storm is the classic postmortem).
-    obs::heartbeat("oocore.page");
+    // run, so the phase also beats the heartbeat; refaults additionally
+    // leave a breadcrumb (a refault storm is the classic postmortem).
+    PMPR_PHASE(refault ? "oocore.refault" : "oocore.map", obs::Phase::kPage,
+               p);
     if (refault) {
       obs::fr_record(obs::FrEvent::kRefault, "oocore.refault", p,
                      slot.payload_bytes);

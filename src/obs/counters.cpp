@@ -1,6 +1,6 @@
 #include "obs/counters.hpp"
 
-#include <algorithm>
+#include "obs/thread_slots.hpp"
 
 namespace pmpr::obs {
 
@@ -23,26 +23,7 @@ struct alignas(64) CounterBlock {
   std::array<std::atomic<std::uint64_t>, kNumCounters> v{};
 };
 
-/// 256 owned slots + 1 shared overflow slot for any threads beyond that
-/// (their adds contend on the overflow block but stay correct).
-constexpr std::size_t kOwnedBlocks = 256;
-constexpr std::size_t kTotalBlocks = kOwnedBlocks + 1;
-
-struct Registry {
-  std::array<CounterBlock, kTotalBlocks> blocks;
-  std::atomic<std::size_t> next_slot{0};
-};
-
-Registry& registry() {
-  // Intentionally leaked singleton: worker threads (the global ThreadPool
-  // above all) may still flush counters while function-local statics are
-  // being destroyed at exit, so the registry must outlive every thread.
-  static Registry* r = new Registry;
-  return *r;
-}
-
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-thread_local std::size_t tls_slot = kNoSlot;
+ThreadSlots<CounterBlock, kOwnedThreadSlots> g_blocks;
 
 }  // namespace
 
@@ -53,16 +34,10 @@ std::string_view to_string(Counter c) {
 namespace detail {
 
 void counter_add(Counter c, std::uint64_t n) {
-  Registry& r = registry();
-  if (tls_slot == kNoSlot) {
-    // seq_cst fetch_add: runs once per thread; no need to reason about a
-    // weaker order.
-    tls_slot = std::min(r.next_slot.fetch_add(1), kOwnedBlocks);
-  }
   // relaxed: counters are commutative monotonic tallies read by
   // counters_snapshot(), which is advisory by contract while writers are
   // live; no other data is published through them.
-  r.blocks[tls_slot].v[static_cast<std::size_t>(c)].fetch_add(
+  g_blocks.mine().v[static_cast<std::size_t>(c)].fetch_add(
       n, std::memory_order_relaxed);
 }
 
@@ -79,26 +54,24 @@ bool set_metrics_enabled(bool enabled) {
 }
 
 CounterSnapshot counters_snapshot() {
-  Registry& r = registry();
   CounterSnapshot snap;
-  for (const CounterBlock& block : r.blocks) {
+  g_blocks.for_each_claimed([&](std::size_t, const CounterBlock& block) {
     for (std::size_t i = 0; i < kNumCounters; ++i) {
       // relaxed: see counter_add — totals are advisory while writers run.
       snap.values[i] += block.v[i].load(std::memory_order_relaxed);
     }
-  }
+  });
   return snap;
 }
 
 void reset_counters() {
-  Registry& r = registry();
-  for (CounterBlock& block : r.blocks) {
-    for (std::size_t i = 0; i < kNumCounters; ++i) {
+  g_blocks.for_each_claimed([](std::size_t, CounterBlock& block) {
+    for (std::atomic<std::uint64_t>& v : block.v) {
       // relaxed: reset is documented as racy-by-contract against live
       // producers; snapshot totals remain advisory.
-      block.v[i].store(0, std::memory_order_relaxed);
+      v.store(0, std::memory_order_relaxed);
     }
-  }
+  });
 }
 
 }  // namespace pmpr::obs

@@ -6,13 +6,12 @@
 // traversed, dangling scans, lane convergence — Fig. 8), and partial
 // initialization (vertices reused vs re-seeded — Fig. 6).
 //
-// Design (same slot discipline as par::parallel_reduce_slots): each thread
-// owns a cache-line-padded block of relaxed atomics, claimed on first use
-// from a fixed pool; threads beyond the pool share one overflow block
-// (still correct — the adds are atomic, merely contended). Aggregation
-// (`counters_snapshot`) sums every block; totals are advisory while
-// writers are live, exact once the producing threads have quiesced (e.g.
-// after ThreadPool::wait returns).
+// Design: each thread owns a cache-line-padded block of relaxed atomics in
+// an obs::ThreadSlots registry (obs/thread_slots.hpp; threads beyond its
+// owned pool share one overflow block — contended, still exact).
+// Aggregation (`counters_snapshot`) sums every block; totals are advisory
+// while writers are live, exact once the producing threads have quiesced
+// (e.g. after ThreadPool::wait returns).
 //
 // Cost discipline: `count()` is a single relaxed atomic load + branch when
 // telemetry is disabled. Hot loops must accumulate locally and flush once

@@ -77,7 +77,7 @@ void write_report_fd(int fd, const DiagnosticContext& ctx) {
   sigsafe_put_i64(fd, ctx.threshold_ns);
 
   // Counter snapshot: counters_snapshot() is pure relaxed loads over the
-  // leaked registry — signal-safe once pre-warmed.
+  // leaked ThreadSlots blocks — signal-safe.
   const CounterSnapshot counters = counters_snapshot();
   sigsafe_puts(fd, ",\n  \"counters\": {");
   for (std::size_t i = 0; i < kNumCounters; ++i) {
@@ -163,13 +163,12 @@ void crash_signal_handler(int signo, siginfo_t* info, void*) {
 }  // namespace
 
 bool install_crash_handler(const CrashHandlerOptions& opts) {
-  // Pre-warm every lock-free registry the handler reads, so the signal
-  // path only ever loads already-published pointers.
+  // Pre-warm the rings, heartbeat slots and trace epoch, so the report
+  // always carries the thread and heartbeat tables. The handler itself
+  // only loads published pointers and bails on null (ThreadSlots).
   fr_prewarm();
   watchdog_prewarm();
   (void)trace_now_ns();
-  (void)counters_snapshot();
-  (void)memory_snapshot();
 
   // Pre-render the report path; the handler does no string building.
   const std::string dir = opts.dump_dir.empty() ? "." : opts.dump_dir;

@@ -13,9 +13,10 @@
 // `signal-unsafe-in-handler` over PMPR_ASYNC_SIGNAL_SAFE_BEGIN/END
 // regions): the handler allocates nothing, locks nothing, and formats
 // through obs/sigsafe.hpp onto a pre-opened fd. Everything it reads —
-// the counter/memory registries, the flight recorder rings, the
-// heartbeat slots — is lock-free atomic state that install_crash_handler
-// pre-warms, so the handler only ever loads already-published pointers.
+// the counter/memory tallies, the flight recorder rings, the heartbeat
+// slots — lives in obs::ThreadSlots registries, which the handler walks
+// with for_each_claimed: an atomic pointer load (bailing on null), never a
+// lazy construction.
 // The report path is also pre-rendered at install time: the handler does
 // no string building.
 //
@@ -35,7 +36,7 @@ struct CrashHandlerOptions {
 };
 
 /// Installs the fatal-signal handler (idempotent; a second call just
-/// re-points dump_dir) and pre-warms every registry the handler reads.
+/// re-points dump_dir) and pre-warms the rings and heartbeat slots.
 /// Returns false if any sigaction registration failed.
 bool install_crash_handler(const CrashHandlerOptions& opts = {});
 

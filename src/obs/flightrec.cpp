@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "obs/sigsafe.hpp"
+#include "obs/thread_slots.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -24,8 +25,8 @@ constexpr std::array<const char*, kNumFrEvents> kFrEventNames = {
 /// keeping the whole leaked registry around 1.4 MB — and the registry is
 /// only allocated once the recorder or crash handler is actually used.
 constexpr std::size_t kRingCap = 128;
-constexpr std::size_t kLabelLen = 32;
 constexpr std::size_t kErrorLen = 128;
+constexpr std::size_t kLastErrorLen = 160;
 
 /// One ring record. Every field is an individually-relaxed atomic: after
 /// the ring wraps a reader may combine fields from two different writes
@@ -41,96 +42,33 @@ struct FrSlot {
   std::atomic<std::uint8_t> kind{0};
 };
 
-/// One padded per-thread ring (same slot discipline as counters.cpp).
-/// `label` and `error_buf` are plain chars written by the owning thread;
-/// cross-thread reads (snapshot, crash handler) are racy-by-contract and
-/// see possibly-stale but always NUL-terminated text.
+/// One padded per-thread ring in an obs::ThreadSlots registry (the
+/// thread's label lives in the shared slot labels, thread_slots.hpp).
+/// `error_buf` is plain chars written by the owning thread; cross-thread
+/// reads (snapshot, crash handler) are racy-by-contract and see
+/// possibly-stale but always NUL-terminated text.
 struct alignas(64) FrBlock {
   std::array<FrSlot, kRingCap> ring{};
   std::atomic<std::uint64_t> next{0};      ///< Events ever written here.
   std::atomic<std::uint64_t> consumed{0};  ///< Drained seq (under drain mu).
-  char label[kLabelLen] = {};
   char error_buf[kErrorLen] = {};
 };
 
-/// 256 owned slots + 1 shared overflow slot (threads beyond the pool
-/// contend on the overflow ring's `next` but stay correct).
-constexpr std::size_t kOwnedBlocks = 256;
-constexpr std::size_t kTotalBlocks = kOwnedBlocks + 1;
+ThreadSlots<FrBlock, kOwnedThreadSlots> g_rings;
+std::atomic<std::uint64_t> g_drains{0};
 
-struct Registry {
-  std::array<FrBlock, kTotalBlocks> blocks;
-  std::atomic<std::size_t> next_slot{0};
-  std::atomic<std::uint64_t> drains{0};
-};
-
-/// Unlike the other pillars' function-local-static registries, this one
-/// hangs off a namespace-scope atomic pointer: the crash handler must be
-/// able to *load* it without risking a lazy-initialization slow path
-/// inside a signal context, and bail when it is null.
-std::atomic<Registry*> g_registry{nullptr};
+/// Serializes drain/clear (the drain-exactly-once contract) and the
+/// global last-error copy. Constant-initialized static storage, like
+/// memory.cpp's probe lock.
+Mutex g_drain_mu;
 
 /// Process-wide last-error text for crash reports. Written under the
 /// drain mutex on the safe path; the crash handler reads it raw (torn
 /// text on a pathological race is acceptable in a best-effort dump).
-char g_last_error[kErrorLen + kLabelLen] = {};
-
-Registry* registry_if_exists() {
-  // acquire: pairs with the release publication in ensure_registry(), so a
-  // non-null pointer implies fully-constructed blocks — the crash handler
-  // relies on exactly this.
-  return g_registry.load(std::memory_order_acquire);
-}
-
-Registry& ensure_registry() {
-  // acquire: see registry_if_exists.
-  Registry* r = g_registry.load(std::memory_order_acquire);
-  if (r != nullptr) return *r;
-  // Intentionally leaked (like every obs registry): worker threads may
-  // still record while static destructors run at exit, and the crash
-  // handler may read it at any point of the process's death.
-  Registry* fresh = new Registry;
-  Registry* expected = nullptr;
-  // acq_rel CAS: release publishes the construction to winners' readers,
-  // acquire on failure synchronizes with the thread that won the race.
-  if (g_registry.compare_exchange_strong(expected, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-    return *fresh;
-  }
-  delete fresh;  // lost the installation race
-  return *expected;
-}
-
-/// Serializes drain/clear (the drain-exactly-once contract) and the
-/// global last-error copy. Leaked for the same exit-order reason as the
-/// registry.
-Mutex& drain_mu() {
-  static Mutex* mu = new Mutex;
-  return *mu;
-}
-
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-thread_local std::size_t tls_slot = kNoSlot;
-
-FrBlock& my_block() {
-  Registry& r = ensure_registry();
-  if (tls_slot == kNoSlot) {
-    // seq_cst fetch_add: runs once per thread; no need to reason about a
-    // weaker order.
-    tls_slot = std::min(r.next_slot.fetch_add(1), kOwnedBlocks);
-  }
-  return r.blocks[tls_slot];
-}
+char g_last_error[kLastErrorLen] = {};
 
 std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : 0;
-}
-
-/// Blocks ever claimed (the shared overflow block counts once).
-std::size_t claimed_blocks(const Registry& r) {
-  // seq_cst load of a cold gauge; mirrors the claim in my_block.
-  return std::min(r.next_slot.load(), kTotalBlocks);
 }
 
 /// Copies the window [start, next) of one ring into `out`.
@@ -162,17 +100,6 @@ void sort_by_time(std::vector<FlightEvent>& events) {
                    });
 }
 
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* to_string(FrEvent e) {
@@ -181,9 +108,9 @@ const char* to_string(FrEvent e) {
 
 namespace detail {
 
-void fr_add(FrEvent kind, const char* name, std::uint64_t a,
-            std::uint64_t b) {
-  FrBlock& blk = my_block();
+void fr_add(FrEvent kind, const char* name, std::uint64_t a, std::uint64_t b,
+            std::int64_t t_ns) {
+  FrBlock& blk = g_rings.mine();
   // seq_cst fetch_add claims the slot; only the shared overflow block
   // ever contends on it (owned rings have a single writer), and the
   // recording rate is per-phase, not per-edge — cold enough for the
@@ -197,14 +124,14 @@ void fr_add(FrEvent kind, const char* name, std::uint64_t a,
   s.name.store(name, std::memory_order_relaxed);
   s.a.store(a, std::memory_order_relaxed);
   s.b.store(b, std::memory_order_relaxed);  // relaxed: ditto
-  s.t_ns.store(trace_now_ns(), std::memory_order_relaxed);  // relaxed: ditto
+  s.t_ns.store(t_ns, std::memory_order_relaxed);  // relaxed: ditto
 }
 
 }  // namespace detail
 
 bool set_flight_recorder_enabled(bool enabled) {
   if (enabled) {
-    ensure_registry();  // allocate the rings before the first record
+    g_rings.ensure();  // allocate the rings before the first record
   }
   // seq_cst exchange: cold toggle, strongest order keeps reasoning trivial.
   return detail::g_flight_recorder_enabled.exchange(enabled);
@@ -213,16 +140,16 @@ bool set_flight_recorder_enabled(bool enabled) {
 void fr_record_error(const char* what) {
   if (!flight_recorder_enabled()) return;
   if (what == nullptr) what = "(unknown error)";
-  FrBlock& blk = my_block();
+  FrBlock& blk = g_rings.mine();
   std::size_t n = 0;
   for (; n + 1 < kErrorLen && what[n] != '\0'; ++n) blk.error_buf[n] = what[n];
   blk.error_buf[n] = '\0';
   {
     // The global last-error copy is shared across threads; the drain
     // mutex serializes safe-path writers (the crash handler reads raw).
-    LockGuard lock(drain_mu());
+    LockGuard lock(g_drain_mu);
     std::size_t m = 0;
-    for (; m + 1 < sizeof(g_last_error) && what[m] != '\0'; ++m) {
+    for (; m + 1 < kLastErrorLen && what[m] != '\0'; ++m) {
       g_last_error[m] = what[m];
     }
     g_last_error[m] = '\0';
@@ -230,63 +157,44 @@ void fr_record_error(const char* what) {
   fr_record(FrEvent::kError, blk.error_buf);
 }
 
-void fr_set_thread_label(std::string_view label) {
-  FrBlock& blk = my_block();
-  const std::size_t n = std::min(label.size(), kLabelLen - 1);
-  for (std::size_t i = 0; i < n; ++i) blk.label[i] = label[i];
-  blk.label[n] = '\0';
-}
-
 std::vector<FlightEvent> snapshot_flight_recorder() {
   std::vector<FlightEvent> out;
-  Registry* r = registry_if_exists();
-  if (r == nullptr) return out;
-  const std::size_t nblocks = claimed_blocks(*r);
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    const FrBlock& blk = r->blocks[i];
+  g_rings.for_each_claimed([&](std::size_t i, const FrBlock& blk) {
     // relaxed: advisory snapshot, see copy_ring.
     const std::uint64_t next = blk.next.load(std::memory_order_relaxed);
-    copy_ring(blk, static_cast<std::uint32_t>(i),
-              sat_sub(next, kRingCap), next, out);
-  }
+    copy_ring(blk, static_cast<std::uint32_t>(i), sat_sub(next, kRingCap),
+              next, out);
+  });
   sort_by_time(out);
   return out;
 }
 
 std::vector<FlightEvent> drain_flight_recorder() {
   std::vector<FlightEvent> out;
-  Registry* r = registry_if_exists();
-  if (r == nullptr) return out;
   // The drain mutex is what makes "each event drained exactly once" hold
   // under concurrent drains: `consumed` is only advanced here.
-  LockGuard lock(drain_mu());
-  const std::size_t nblocks = claimed_blocks(*r);
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    FrBlock& blk = r->blocks[i];
+  LockGuard lock(g_drain_mu);
+  g_rings.for_each_claimed([&](std::size_t i, FrBlock& blk) {
     // relaxed: advisory while writers are live; events recorded after
     // this load land in the next drain.
     const std::uint64_t next = blk.next.load(std::memory_order_relaxed);
-    // relaxed: consumed is only mutated under drain_mu (held here).
+    // relaxed: consumed is only mutated under g_drain_mu (held here).
     const std::uint64_t consumed =
         blk.consumed.load(std::memory_order_relaxed);
     const std::uint64_t start = std::max(consumed, sat_sub(next, kRingCap));
     copy_ring(blk, static_cast<std::uint32_t>(i), start, next, out);
-    // relaxed: published to other drainers via drain_mu, not this store.
+    // relaxed: published to other drainers via g_drain_mu, not this store.
     blk.consumed.store(next, std::memory_order_relaxed);
-  }
+  });
   // seq_cst add of a cold stat.
-  r->drains.fetch_add(1);
+  g_drains.fetch_add(1);
   sort_by_time(out);
   return out;
 }
 
 void clear_flight_recorder() {
-  Registry* r = registry_if_exists();
-  if (r == nullptr) return;
-  LockGuard lock(drain_mu());
-  const std::size_t nblocks = claimed_blocks(*r);
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    FrBlock& blk = r->blocks[i];
+  LockGuard lock(g_drain_mu);
+  g_rings.for_each_claimed([](std::size_t, FrBlock& blk) {
     for (FrSlot& s : blk.ring) {
       // relaxed: clear is racy-by-contract against live producers (like
       // reset_counters); totals stay advisory.
@@ -299,34 +207,30 @@ void clear_flight_recorder() {
     // relaxed: same racy-by-contract reset.
     blk.next.store(0, std::memory_order_relaxed);
     blk.consumed.store(0, std::memory_order_relaxed);
-  }
+  });
   // seq_cst store of a cold stat.
-  r->drains.store(0);
+  g_drains.store(0);
   g_last_error[0] = '\0';
 }
 
 FlightRecorderStats flight_recorder_stats() {
   FlightRecorderStats stats;
-  Registry* r = registry_if_exists();
-  if (r == nullptr) return stats;
-  const std::size_t nblocks = claimed_blocks(*r);
-  stats.threads = nblocks;
   // seq_cst load of a cold stat.
-  stats.drains = r->drains.load();
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    const FrBlock& blk = r->blocks[i];
+  stats.drains = g_drains.load();
+  g_rings.for_each_claimed([&](std::size_t, const FrBlock& blk) {
     // relaxed: advisory totals, see counters_snapshot for the argument.
     const std::uint64_t next = blk.next.load(std::memory_order_relaxed);
     const std::uint64_t consumed =
         blk.consumed.load(std::memory_order_relaxed);
+    ++stats.threads;
     stats.records += next;
     stats.dropped += sat_sub(sat_sub(next, kRingCap), consumed);
-  }
+  });
   return stats;
 }
 
 std::string last_error() {
-  LockGuard lock(drain_mu());
+  LockGuard lock(g_drain_mu);
   return std::string(g_last_error);
 }
 
@@ -341,18 +245,15 @@ void write_blackbox_json(std::ostream& out) {
       << ", \"drains\": " << stats.drains
       << ", \"threads\": " << stats.threads << "},\n";
   out << "  \"last_error\": \"" << escape_json(last_error()) << "\",\n";
-  out << "  \"threads\": [\n";
-  Registry* r = registry_if_exists();
-  const std::size_t nblocks = r != nullptr ? claimed_blocks(*r) : 0;
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    const FrBlock& blk = r->blocks[i];
+  out << "  \"threads\": [";
+  g_rings.for_each_claimed([&](std::size_t i, const FrBlock& blk) {
     // relaxed: advisory gauge.
     const std::uint64_t next = blk.next.load(std::memory_order_relaxed);
-    out << "    {\"tid\": " << i << ", \"label\": \""
-        << escape_json(blk.label) << "\", \"records\": " << next << "}"
-        << (i + 1 < nblocks ? "," : "") << "\n";
-  }
-  out << "  ],\n";
+    out << (i == 0 ? "\n" : ",\n") << "    {\"tid\": " << i
+        << ", \"label\": \"" << escape_json(thread_slot_label(i).text)
+        << "\", \"records\": " << next << "}";
+  });
+  out << "\n  ],\n";
   out << "  \"events\": [\n";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FlightEvent& e = events[i];
@@ -382,78 +283,61 @@ bool write_blackbox_json(const std::string& path) {
 
 std::uint64_t fr_emit_events_json(int fd) {
   sigsafe_puts(fd, "[");
-  // acquire: a non-null registry pointer implies constructed blocks.
-  Registry* r = g_registry.load(std::memory_order_acquire);
   std::uint64_t emitted = 0;
-  if (r != nullptr) {
-    // seq_cst load of a cold gauge (claimed_blocks inlined: no helpers
-    // that might allocate are called from here).
-    const std::size_t nblocks = std::min(r->next_slot.load(), kTotalBlocks);
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      const FrBlock& blk = r->blocks[i];
-      // relaxed: advisory ring window, as on the safe path.
-      const std::uint64_t next = blk.next.load(std::memory_order_relaxed);
-      const std::uint64_t count =
-          next > kRingCap ? kRingCap : next;
-      for (std::uint64_t seq = next - count; seq < next; ++seq) {
-        const FrSlot& s = blk.ring[seq % kRingCap];
-        // relaxed loads: advisory records, never torn per-field.
-        const std::int64_t t = s.t_ns.load(std::memory_order_relaxed);
-        std::uint8_t k = s.kind.load(std::memory_order_relaxed);
-        if (k >= kNumFrEvents) k = kNumFrEvents - 1;
-        const char* nm = s.name.load(std::memory_order_relaxed);  // ditto
-        const std::uint64_t a = s.a.load(std::memory_order_relaxed);  // ditto
-        const std::uint64_t b = s.b.load(std::memory_order_relaxed);  // ditto
-        if (emitted != 0) sigsafe_puts(fd, ",");
-        sigsafe_puts(fd, "\n    {\"t_ns\": ");
-        sigsafe_put_i64(fd, t);
-        sigsafe_puts(fd, ", \"tid\": ");
-        sigsafe_put_u64(fd, i);
-        sigsafe_puts(fd, ", \"kind\": \"");
-        sigsafe_puts(fd, kFrEventNames[k]);
-        sigsafe_puts(fd, "\", \"name\": \"");
-        sigsafe_put_json_str(fd, nm != nullptr ? nm : "");
-        sigsafe_puts(fd, "\", \"a\": ");
-        sigsafe_put_u64(fd, a);
-        sigsafe_puts(fd, ", \"b\": ");
-        sigsafe_put_u64(fd, b);
-        sigsafe_puts(fd, "}");
-        ++emitted;
-      }
+  g_rings.for_each_claimed([&](std::size_t i, const FrBlock& blk) {
+    // relaxed: advisory ring window, as on the safe path.
+    const std::uint64_t next = blk.next.load(std::memory_order_relaxed);
+    for (std::uint64_t seq = sat_sub(next, kRingCap); seq < next; ++seq) {
+      const FrSlot& s = blk.ring[seq % kRingCap];
+      // relaxed loads: advisory records, never torn per-field.
+      const std::int64_t t = s.t_ns.load(std::memory_order_relaxed);
+      std::uint8_t k = s.kind.load(std::memory_order_relaxed);
+      if (k >= kNumFrEvents) k = kNumFrEvents - 1;
+      const char* nm = s.name.load(std::memory_order_relaxed);  // ditto
+      const std::uint64_t a = s.a.load(std::memory_order_relaxed);  // ditto
+      const std::uint64_t b = s.b.load(std::memory_order_relaxed);  // ditto
+      if (emitted != 0) sigsafe_puts(fd, ",");
+      sigsafe_puts(fd, "\n    {\"t_ns\": ");
+      sigsafe_put_i64(fd, t);
+      sigsafe_puts(fd, ", \"tid\": ");
+      sigsafe_put_u64(fd, i);
+      sigsafe_puts(fd, ", \"kind\": \"");
+      sigsafe_puts(fd, kFrEventNames[k]);
+      sigsafe_puts(fd, "\", \"name\": \"");
+      sigsafe_put_json_str(fd, nm != nullptr ? nm : "");
+      sigsafe_puts(fd, "\", \"a\": ");
+      sigsafe_put_u64(fd, a);
+      sigsafe_puts(fd, ", \"b\": ");
+      sigsafe_put_u64(fd, b);
+      sigsafe_puts(fd, "}");
+      ++emitted;
     }
-  }
+  });
   sigsafe_puts(fd, emitted != 0 ? "\n  ]" : "]");
   return emitted;
 }
 
 void fr_emit_threads_json(int fd) {
   sigsafe_puts(fd, "[");
-  // acquire: see fr_emit_events_json.
-  Registry* r = g_registry.load(std::memory_order_acquire);
-  if (r != nullptr) {
-    // seq_cst load of a cold gauge.
-    const std::size_t nblocks = std::min(r->next_slot.load(), kTotalBlocks);
-    for (std::size_t i = 0; i < nblocks; ++i) {
-      const FrBlock& blk = r->blocks[i];
-      if (i != 0) sigsafe_puts(fd, ",");
-      sigsafe_puts(fd, "\n    {\"tid\": ");
-      sigsafe_put_u64(fd, i);
-      sigsafe_puts(fd, ", \"label\": \"");
-      sigsafe_put_json_str(fd, blk.label);
-      sigsafe_puts(fd, "\", \"records\": ");
-      // relaxed: advisory gauge.
-      sigsafe_put_u64(fd, blk.next.load(std::memory_order_relaxed));
-      sigsafe_puts(fd, "}");
-    }
-    if (nblocks != 0) sigsafe_puts(fd, "\n  ");
-  }
-  sigsafe_puts(fd, "]");
+  bool any = false;
+  g_rings.for_each_claimed([&](std::size_t i, const FrBlock& blk) {
+    sigsafe_puts(fd, any ? ",\n    {\"tid\": " : "\n    {\"tid\": ");
+    any = true;
+    sigsafe_put_u64(fd, i);
+    sigsafe_puts(fd, ", \"label\": \"");
+    sigsafe_put_json_str(fd, thread_slot_label(i).text);
+    sigsafe_puts(fd, "\", \"records\": ");
+    // relaxed: advisory gauge.
+    sigsafe_put_u64(fd, blk.next.load(std::memory_order_relaxed));
+    sigsafe_puts(fd, "}");
+  });
+  sigsafe_puts(fd, any ? "\n  ]" : "]");
 }
 
 void fr_emit_last_error_json(int fd) { sigsafe_put_json_str(fd, g_last_error); }
 
 // PMPR_ASYNC_SIGNAL_SAFE_END
 
-void fr_prewarm() { ensure_registry(); }
+void fr_prewarm() { g_rings.ensure(); }
 
 }  // namespace pmpr::obs

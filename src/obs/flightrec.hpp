@@ -5,8 +5,8 @@
 // don't: every thread owns a cache-line-padded fixed-capacity ring of
 // recent structured events (runner span begin/end with window ids,
 // scheduler park/unpark, oocore evict/refault, last-error breadcrumbs,
-// watchdog activity), recorded through the same padded-block slot
-// discipline as counters.cpp. Recording costs one relaxed load + branch
+// watchdog activity), kept in an obs::ThreadSlots registry
+// (obs/thread_slots.hpp). Recording costs one relaxed load + branch
 // when the gate is off and a handful of relaxed stores when on — cheap
 // enough to leave armed for a whole run even when full Chrome tracing is
 // off, which is the point: the ring is what's left to read after the
@@ -17,7 +17,7 @@
 //     `pmpr-blackbox-v1` JSON snapshot; drain_flight_recorder() consumes
 //     the retained events exactly once (mutex-serialized);
 //   * the crash path: obs/crash.cpp's signal handler walks the same
-//     pre-allocated registry with fr_emit_events_json(fd) — async-signal-
+//     pre-allocated rings with fr_emit_events_json(fd) — async-signal-
 //     safe by construction (atomic loads + write(2) only, no allocation);
 //   * the metrics path: flight_recorder_stats() backs the pmpr-metrics-v4
 //     "diagnostics" section (records, drops, drains).
@@ -26,7 +26,7 @@
 // writers are live — after a ring wraps, a reader may observe a record
 // whose fields mix two writes. Every field is an individually-relaxed
 // atomic, so torn *values* cannot occur, and every name pointer refers to
-// static storage (string literals or the leaked registry's own buffers),
+// static storage (string literals or the leaked rings' own buffers),
 // so a stale pointer is always dereferenceable. Totals and event lists
 // are exact once producers quiesce.
 //
@@ -40,8 +40,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace pmpr::obs {
 
@@ -69,7 +70,7 @@ inline constexpr std::size_t kNumFrEvents = 12;
 /// the crash path never materializes these).
 struct FlightEvent {
   std::int64_t t_ns = 0;   ///< trace_now_ns() timestamp.
-  std::uint32_t tid = 0;   ///< Recorder block index of the writing thread.
+  std::uint32_t tid = 0;   ///< Thread slot index of the writer.
   FrEvent kind = FrEvent::kMark;
   std::string name;        ///< Label ("" when the record carried none).
   std::uint64_t a = 0;     ///< Kind-specific payload (window id, bytes...).
@@ -81,15 +82,16 @@ struct FlightRecorderStats {
   std::uint64_t records = 0;  ///< Events ever recorded (incl. overwritten).
   std::uint64_t dropped = 0;  ///< Events overwritten before being read.
   std::uint64_t drains = 0;   ///< Completed drain_flight_recorder() calls.
-  std::uint64_t threads = 0;  ///< Ring blocks claimed (overflow counts 1).
+  std::uint64_t threads = 0;  ///< Thread slots claimed (overflow counts 1).
 };
 
 namespace detail {
 /// Inline so flight_recorder_enabled() compiles to one load per call site.
 inline std::atomic<bool> g_flight_recorder_enabled{false};
-/// Out-of-line slow path: claims this thread's ring on first use and
-/// appends one record.
-void fr_add(FrEvent kind, const char* name, std::uint64_t a, std::uint64_t b);
+/// Out-of-line slow path: appends one record stamped `t_ns` to the calling
+/// thread's ring.
+void fr_add(FrEvent kind, const char* name, std::uint64_t a, std::uint64_t b,
+            std::int64_t t_ns);
 }  // namespace detail
 
 /// Whether fr_record() records anything. The single check on the disabled
@@ -111,7 +113,7 @@ bool set_flight_recorder_enabled(bool enabled);
 inline void fr_record(FrEvent kind, const char* name = nullptr,
                       std::uint64_t a = 0, std::uint64_t b = 0) {
   if (!flight_recorder_enabled()) return;
-  detail::fr_add(kind, name, a, b);
+  detail::fr_add(kind, name, a, b, trace_now_ns());
 }
 
 /// Records a kError breadcrumb carrying `what` (truncated to the ring
@@ -119,14 +121,6 @@ inline void fr_record(FrEvent kind, const char* name = nullptr,
 /// transient exception text survives). Also remembered as the process-wide
 /// last error for crash reports. Gated like fr_record.
 void fr_record_error(const char* what);
-
-/// Labels the calling thread's ring block for crash-report thread
-/// identification ("pool.worker-3", "obs.sampler", "main"). Copies up to
-/// 31 bytes. Unlike fr_record this is NOT gated: threads name themselves
-/// at spawn, typically before the recorder is enabled, and the cost is
-/// once per thread. obs::set_thread_name() forwards here, so every
-/// existing naming site feeds the recorder for free.
-void fr_set_thread_label(std::string_view label);
 
 /// Copies out every retained event, oldest first (per-ring order is exact;
 /// cross-thread order is by timestamp). Non-consuming. Advisory while
@@ -174,8 +168,8 @@ void fr_emit_threads_json(int fd);
 /// surrounding quotes). Async-signal-safe.
 void fr_emit_last_error_json(int fd);
 
-/// Forces the registry (and its rings) to exist now, so a later signal
-/// handler only ever loads an already-published pointer. Called by
+/// Allocates the rings now, so crash reports always carry the thread
+/// table (the handler skips rings that were never allocated). Called by
 /// install_crash_handler(); harmless to call repeatedly.
 void fr_prewarm();
 

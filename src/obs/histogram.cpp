@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "obs/counters.hpp"
+#include "obs/thread_slots.hpp"
 #include "util/stats.hpp"
 
 namespace pmpr::obs {
@@ -21,10 +22,10 @@ constexpr std::array<std::string_view, kNumPhases> kPhaseNames = {
 constexpr std::uint64_t kSub = 1u << kHistSubBits;
 
 /// One aligned block per registered thread: per-phase bucket counts plus
-/// the sum/max needed for mean and exact-max export. ~9 KiB per block —
-/// the pool is smaller than the counters' (64 owned slots) because blocks
-/// are two orders of magnitude bigger and only phase-recording threads
-/// (pool workers + the driver) ever claim one.
+/// the sum/max needed for mean and exact-max export. ~11 KiB per block —
+/// the pool owns 64 blocks, not the counters' 256, because blocks are two
+/// orders of magnitude bigger and only phase-recording threads (pool
+/// workers + the main thread) ever write one.
 struct alignas(64) HistBlock {
   std::array<std::array<std::atomic<std::uint64_t>, kHistNumBuckets>,
              kNumPhases>
@@ -33,25 +34,7 @@ struct alignas(64) HistBlock {
   std::array<std::atomic<std::uint64_t>, kNumPhases> max_ns{};
 };
 
-constexpr std::size_t kOwnedBlocks = 64;
-constexpr std::size_t kTotalBlocks = kOwnedBlocks + 1;
-
-struct Registry {
-  std::array<HistBlock, kTotalBlocks> blocks;
-  std::atomic<std::size_t> next_slot{0};
-};
-
-Registry& registry() {
-  // Intentionally leaked singleton: pool worker threads may still record
-  // phase durations while function-local statics are destroyed at exit, so
-  // the registry must outlive every thread (same rationale as the counter
-  // and trace registries).
-  static Registry* r = new Registry;
-  return *r;
-}
-
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-thread_local std::size_t tls_slot = kNoSlot;
+ThreadSlots<HistBlock, 64> g_blocks;
 
 }  // namespace
 
@@ -117,13 +100,7 @@ PhaseHistogram PhaseHistogram::delta_since(const PhaseHistogram& base) const {
 namespace detail {
 
 void histogram_record(Phase p, std::uint64_t ns) {
-  Registry& r = registry();
-  if (tls_slot == kNoSlot) {
-    // seq_cst fetch_add: runs once per thread; no need to reason about a
-    // weaker order.
-    tls_slot = std::min(r.next_slot.fetch_add(1), kOwnedBlocks);
-  }
-  HistBlock& block = r.blocks[tls_slot];
+  HistBlock& block = g_blocks.mine();
   const auto phase = static_cast<std::size_t>(p);
   // relaxed (all three): bucket counts / sums are commutative monotonic
   // tallies read by histograms_snapshot(), which is advisory by contract
@@ -151,9 +128,8 @@ bool set_histograms_enabled(bool enabled) {
 }
 
 HistogramSnapshot histograms_snapshot() {
-  Registry& r = registry();
   HistogramSnapshot snap;
-  for (const HistBlock& block : r.blocks) {
+  g_blocks.for_each_claimed([&](std::size_t, const HistBlock& block) {
     for (std::size_t p = 0; p < kNumPhases; ++p) {
       PhaseHistogram& out = snap.phases[p];
       for (std::size_t i = 0; i < kHistNumBuckets; ++i) {
@@ -166,24 +142,23 @@ HistogramSnapshot histograms_snapshot() {
       out.max_ns = std::max(
           out.max_ns, block.max_ns[p].load(std::memory_order_relaxed));
     }
-  }
+  });
   return snap;
 }
 
 void reset_histograms() {
-  Registry& r = registry();
-  for (HistBlock& block : r.blocks) {
+  g_blocks.for_each_claimed([](std::size_t, HistBlock& block) {
     for (std::size_t p = 0; p < kNumPhases; ++p) {
-      for (std::size_t i = 0; i < kHistNumBuckets; ++i) {
+      for (std::atomic<std::uint64_t>& c : block.counts[p]) {
         // relaxed: reset is racy-by-contract against live producers, same
         // as reset_counters.
-        block.counts[p][i].store(0, std::memory_order_relaxed);
+        c.store(0, std::memory_order_relaxed);
       }
       // relaxed (both): as above.
       block.sum_ns[p].store(0, std::memory_order_relaxed);
       block.max_ns[p].store(0, std::memory_order_relaxed);
     }
-  }
+  });
 }
 
 }  // namespace pmpr::obs

@@ -8,11 +8,11 @@
 // time" into the p50/p90/p99/max a regression gate can act on (a scheduler
 // stall shows up in p99 long before it moves the mean).
 //
-// Design (same slot discipline as obs/counters): each recording thread owns
-// a cache-line-aligned block of relaxed-atomic bucket counters, claimed on
-// first use from a fixed pool; threads beyond the pool share one overflow
-// block (contended but correct). Aggregation sums every block; totals are
-// advisory while writers are live, exact once they quiesce.
+// Design: each recording thread owns a cache-line-aligned block of
+// relaxed-atomic bucket counters in an obs::ThreadSlots registry
+// (obs/thread_slots.hpp). Aggregation sums every block; totals are
+// advisory while writers are live, exact once they quiesce. Runner phases
+// feed it through PMPR_PHASE (obs/phase.hpp).
 //
 // Cost discipline: `record_duration()` is one relaxed load + branch when
 // histograms are disabled. Recording happens once per runner *phase* per
@@ -25,8 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-
-#include "obs/trace.hpp"
 
 namespace pmpr::obs {
 
@@ -134,34 +132,5 @@ inline void record_duration(Phase p, std::uint64_t ns) {
 /// Zeroes every block (counts, sums, maxima). Only meaningful while no
 /// producer is mid-flight; concurrent recordings may survive the reset.
 void reset_histograms();
-
-/// RAII phase stopwatch: construction reads the clock iff histograms are
-/// enabled; destruction records the elapsed nanoseconds. Place one next to
-/// the phase's PMPR_TRACE_SPAN — spans feed the timeline, this feeds the
-/// distribution.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(Phase p) {
-    if (histograms_enabled()) {
-      phase_ = p;
-      start_ns_ = trace_now_ns();
-    }
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-  ~PhaseTimer() {
-    if (start_ns_ >= 0) {
-      const std::int64_t elapsed = trace_now_ns() - start_ns_;
-      detail::histogram_record(phase_,
-                               elapsed > 0
-                                   ? static_cast<std::uint64_t>(elapsed)
-                                   : 0);
-    }
-  }
-
- private:
-  Phase phase_ = Phase::kBuild;
-  std::int64_t start_ns_ = -1;  ///< -1 = histograms were off at entry.
-};
 
 }  // namespace pmpr::obs

@@ -1,8 +1,8 @@
 #include "obs/memory.hpp"
 
-#include <algorithm>
 #include <fstream>
 
+#include "obs/thread_slots.hpp"
 #include "util/thread_annotations.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -44,30 +44,12 @@ struct alignas(64) LivePeak {
   std::atomic<std::uint64_t> peak{0};
 };
 
-/// 256 owned tally slots + 1 shared overflow slot for any threads beyond
-/// that (their adds contend on the overflow block but stay correct).
-constexpr std::size_t kOwnedBlocks = 256;
-constexpr std::size_t kTotalBlocks = kOwnedBlocks + 1;
+ThreadSlots<TallyBlock, kOwnedThreadSlots> g_tallies;
 
-/// Index of the cross-tag total in the live/peak array.
+/// Per-tag live/peak pairs plus, at index kNumMemTags, the cross-tag total.
+/// Constant-initialized static storage: outlives every thread.
+std::array<LivePeak, kNumMemTags + 1> g_live;
 constexpr std::size_t kTotalPair = kNumMemTags;
-
-struct Registry {
-  std::array<TallyBlock, kTotalBlocks> blocks;
-  std::array<LivePeak, kNumMemTags + 1> live;
-  std::atomic<std::size_t> next_slot{0};
-};
-
-Registry& registry() {
-  // Intentionally leaked singleton: worker threads (the global ThreadPool
-  // above all) may still record charges while function-local statics are
-  // being destroyed at exit, so the registry must outlive every thread.
-  static Registry* r = new Registry;
-  return *r;
-}
-
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-thread_local std::size_t tls_slot = kNoSlot;
 
 /// Applies a signed delta to one live accumulator and advances its peak
 /// watermark. The watermark is exact when charges are serialized (every
@@ -110,22 +92,16 @@ const char* trace_track_name(MemTag t) {
 namespace detail {
 
 void memory_add(MemTag t, std::uint64_t bytes, bool is_free) {
-  Registry& r = registry();
-  if (tls_slot == kNoSlot) {
-    // seq_cst fetch_add: runs once per thread; no need to reason about a
-    // weaker order.
-    tls_slot = std::min(r.next_slot.fetch_add(1), kOwnedBlocks);
-  }
   const auto idx = static_cast<std::size_t>(t);
-  TallyBlock& block = r.blocks[tls_slot];
+  TallyBlock& block = g_tallies.mine();
   // relaxed: monotone commutative tallies, same contract as counter_add —
   // memory_snapshot() is advisory while writers are live.
   (is_free ? block.free_bytes : block.alloc_bytes)[idx].fetch_add(
       bytes, std::memory_order_relaxed);
   const std::int64_t delta = is_free ? -static_cast<std::int64_t>(bytes)
                                      : static_cast<std::int64_t>(bytes);
-  update_live(r.live[idx], delta);
-  update_live(r.live[kTotalPair], delta);
+  update_live(g_live[idx], delta);
+  update_live(g_live[kTotalPair], delta);
 }
 
 }  // namespace detail
@@ -136,9 +112,8 @@ bool set_memory_accounting_enabled(bool enabled) {
 }
 
 MemorySnapshot memory_snapshot() {
-  Registry& r = registry();
   MemorySnapshot snap;
-  for (const TallyBlock& block : r.blocks) {
+  g_tallies.for_each_claimed([&](std::size_t, const TallyBlock& block) {
     for (std::size_t i = 0; i < kNumMemTags; ++i) {
       // relaxed: see memory_add — totals are advisory while writers run.
       snap.tags[i].alloc_bytes +=
@@ -147,32 +122,31 @@ MemorySnapshot memory_snapshot() {
       snap.tags[i].free_bytes +=
           block.free_bytes[i].load(std::memory_order_relaxed);
     }
-  }
+  });
   for (std::size_t i = 0; i < kNumMemTags; ++i) {
     // relaxed: watermark reads over the same advisory tallies.
-    snap.tags[i].live_bytes = r.live[i].live.load(std::memory_order_relaxed);
-    snap.tags[i].peak_bytes = r.live[i].peak.load(std::memory_order_relaxed);
+    snap.tags[i].live_bytes = g_live[i].live.load(std::memory_order_relaxed);
+    snap.tags[i].peak_bytes = g_live[i].peak.load(std::memory_order_relaxed);
   }
   snap.total_live_bytes =
       // relaxed: as above.
-      r.live[kTotalPair].live.load(std::memory_order_relaxed);
+      g_live[kTotalPair].live.load(std::memory_order_relaxed);
   snap.total_peak_bytes =
       // relaxed: as above.
-      r.live[kTotalPair].peak.load(std::memory_order_relaxed);
+      g_live[kTotalPair].peak.load(std::memory_order_relaxed);
   return snap;
 }
 
 void reset_memory_accounting() {
-  Registry& r = registry();
-  for (TallyBlock& block : r.blocks) {
+  g_tallies.for_each_claimed([](std::size_t, TallyBlock& block) {
     for (std::size_t i = 0; i < kNumMemTags; ++i) {
       // relaxed: reset is documented as racy-by-contract against live
       // producers; snapshot totals remain advisory.
       block.alloc_bytes[i].store(0, std::memory_order_relaxed);
       block.free_bytes[i].store(0, std::memory_order_relaxed);
     }
-  }
-  for (LivePeak& lp : r.live) {
+  });
+  for (LivePeak& lp : g_live) {
     // relaxed: as above.
     lp.live.store(0, std::memory_order_relaxed);
     lp.peak.store(0, std::memory_order_relaxed);

@@ -9,10 +9,10 @@
 //      bytes to a MemTag (graph arrays, compiled kernels, decode scratch,
 //      paged oocore payloads, obs itself). Charges flow through MemCharge
 //      RAII members or the TaggedAlloc STL allocator; per-thread monotone
-//      alloc/free tallies use the same cache-line-padded slot discipline
-//      as counters.cpp, and a small set of global padded live/peak pairs
-//      maintains watermarks (live can dip and rise, so it cannot live in
-//      per-thread blocks).
+//      alloc/free tallies live in an obs::ThreadSlots registry
+//      (obs/thread_slots.hpp), and a small set of global padded live/peak
+//      pairs maintains watermarks (live can dip and rise, so it cannot
+//      live in per-thread blocks).
 //   2. Process residency readers: current RSS from /proc/self/statm and
 //      lifetime peak RSS from getrusage, plus a ResidencyProbe interface
 //      the paged store implements so the sampler can chart real (mincore)

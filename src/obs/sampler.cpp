@@ -11,33 +11,11 @@ namespace pmpr::obs {
 Sampler::Sampler(SchedulerProbe& pool, SamplerOptions opts)
     : pool_(pool), opts_(opts) {}
 
-Sampler::~Sampler() { stop(); }
-
 void Sampler::start() {
-  LockGuard lock(mu_);
-  if (thread_.joinable()) return;
-  stop_requested_ = false;
-  thread_ = std::thread([this] { loop(); });
+  ticker_.start("obs.sampler", opts_.interval, [this] { sample_once(); });
 }
 
-void Sampler::stop() {
-  // Swap-join: move the handle out under the lock so concurrent stop()
-  // calls are idempotent (exactly one caller sees a joinable handle), then
-  // join outside the lock — the loop needs mu_ to observe stop_requested_.
-  std::thread t;
-  {
-    LockGuard lock(mu_);
-    stop_requested_ = true;
-    wake_cv_.notify_all();
-    t.swap(thread_);
-  }
-  if (t.joinable()) t.join();
-}
-
-bool Sampler::running() const {
-  LockGuard lock(mu_);
-  return thread_.joinable();
-}
+void Sampler::stop() { ticker_.stop(); }
 
 SamplerSample Sampler::sample_once() {
   SamplerSample s;
@@ -130,20 +108,6 @@ void Sampler::record(const SamplerSample& s) {
   if (s.steal_success_rate > 0.0) {
     sum_steal_rate_ += s.steal_success_rate;
     ++ticks_with_steals_;
-  }
-}
-
-void Sampler::loop() {
-  set_thread_name("obs.sampler");
-  // Sample before the first stop check: even a stop() that races the thread
-  // spawn yields one snapshot, so short runs are never blind.
-  for (;;) {
-    sample_once();
-    LockGuard lock(mu_);
-    if (stop_requested_) return;
-    // Interruptible pacing: stop() flips stop_requested_ under mu_ and
-    // notifies, so shutdown never waits out a full interval.
-    wake_cv_.wait_for(lock, opts_.interval);
   }
 }
 

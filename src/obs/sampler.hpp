@@ -15,18 +15,18 @@
 // 10 ms), well under 0.1% of one core. The sampled pool pays nothing
 // beyond the advisory gauge reads (ThreadPool::approx_queued and friends).
 //
-// Lifetime: the Sampler must not outlive the pool it samples. stop() (or
-// the destructor) joins the thread; it is prompt because the loop waits on
-// an interruptible condvar, never a bare sleep.
+// Lifetime: the Sampler must not outlive the pool it samples. The tick
+// runs on an obs::Ticker thread; stop() (or the destructor) joins it
+// promptly, since the ticker waits on an interruptible condvar.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "obs/scheduler_probe.hpp"
+#include "obs/ticker.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace pmpr::obs {
@@ -70,10 +70,10 @@ struct SamplerSummary {
 
 class Sampler {
  public:
-  /// Does not start sampling; call start(). `pool` (any SchedulerProbe —
-  /// in practice a par::ThreadPool) must outlive `*this`.
+  /// Does not start sampling; call start(). Destruction stops and joins.
+  /// `pool` (any SchedulerProbe — in practice a par::ThreadPool) must
+  /// outlive `*this`.
   explicit Sampler(SchedulerProbe& pool, SamplerOptions opts = {});
-  ~Sampler();  ///< Stops and joins if still running.
 
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
@@ -81,15 +81,13 @@ class Sampler {
   /// Launches the background thread. No-op if already running.
   void start();
 
-  /// Signals the thread and joins it. No-op if not running. Prompt: the
-  /// loop parks on a condvar, so stop never waits a full interval.
-  /// Idempotent and safe to race from several threads — the joinable
-  /// handle is swapped out under the lock, so exactly one caller joins
-  /// (the trace-exporter shutdown path stops the sampler while
+  /// Signals the thread and joins it. No-op if not running; prompt,
+  /// idempotent and safe to race from several threads (see Ticker::stop —
+  /// the trace-exporter shutdown path stops the sampler while
   /// write_metrics_json may be flushing concurrently).
   void stop();
 
-  [[nodiscard]] bool running() const;
+  [[nodiscard]] bool running() const { return ticker_.running(); }
 
   /// Takes one snapshot synchronously on the calling thread (also what the
   /// background loop does per tick). Usable with the thread stopped — e.g.
@@ -103,15 +101,12 @@ class Sampler {
   [[nodiscard]] SamplerSummary summary() const;
 
  private:
-  void loop();
   void record(const SamplerSample& s);
 
   SchedulerProbe& pool_;
   const SamplerOptions opts_;
 
   mutable Mutex mu_;
-  CondVar wake_cv_;
-  bool stop_requested_ PMPR_GUARDED_BY(mu_) = false;
   std::vector<SamplerSample> ring_ PMPR_GUARDED_BY(mu_);
   std::size_t ring_next_ PMPR_GUARDED_BY(mu_) = 0;  ///< Next overwrite slot.
   std::uint64_t num_samples_ PMPR_GUARDED_BY(mu_) = 0;
@@ -129,7 +124,9 @@ class Sampler {
   std::uint64_t last_steals_succeeded_ = 0;
   bool have_last_counters_ = false;
 
-  std::thread thread_ PMPR_GUARDED_BY(mu_);
+  /// Last member: destroyed (stopped and joined) before the state the
+  /// tick reads.
+  Ticker ticker_;
 };
 
 }  // namespace pmpr::obs

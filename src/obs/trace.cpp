@@ -8,8 +8,7 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/flightrec.hpp"
-#include "obs/watchdog.hpp"
+#include "obs/thread_slots.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace pmpr::obs {
@@ -72,6 +71,8 @@ ThreadBuf& my_buf() {
   return *buf;
 }
 
+}  // namespace
+
 std::string escape_json(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -82,8 +83,6 @@ std::string escape_json(std::string_view s) {
   }
   return out;
 }
-
-}  // namespace
 
 namespace detail {
 
@@ -125,9 +124,9 @@ void set_thread_name(std::string_view name) {
     buf.name.assign(name);
   }
   // One naming call labels every diagnostics surface: the Perfetto track
-  // above, the flight-recorder ring, and the watchdog heartbeat slot.
-  fr_set_thread_label(name);
-  heartbeat_set_label(name);
+  // above, and the thread slot the blackbox, heartbeat table and crash
+  // report all read.
+  set_thread_slot_label(name);
 }
 
 bool set_tracing_enabled(bool enabled) {

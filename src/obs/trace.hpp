@@ -81,10 +81,16 @@ void record_counter_sample(const char* name, std::int64_t t_ns, double value);
 /// Copies out every recorded counter sample, sorted by (t, name).
 [[nodiscard]] std::vector<CounterSample> collect_counter_samples();
 
+/// `s` with quotes and backslashes escaped and control bytes dropped, for
+/// the body of a JSON string. The one escaper of the safe-path writers
+/// (the crash path has sigsafe_put_json_str).
+[[nodiscard]] std::string escape_json(std::string_view s);
+
 /// Names the calling thread's track in the exported trace (a Perfetto
-/// "thread_name" metadata event). Registers the thread's buffer if needed,
-/// so it works before tracing is enabled; the last call wins. `name` is
-/// copied.
+/// "thread_name" metadata event) and labels its thread slot for the
+/// blackbox, heartbeat table and crash report. Registers the thread's
+/// buffer if needed, so it works before tracing is enabled; the last call
+/// wins. `name` is copied.
 void set_thread_name(std::string_view name);
 
 /// Number of spans currently buffered.

@@ -1,13 +1,12 @@
 #include "obs/watchdog.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <utility>
 
 #include "obs/crash.hpp"
 #include "obs/sigsafe.hpp"
-#include "obs/trace.hpp"
+#include "obs/thread_slots.hpp"
 #include "util/logging.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -18,74 +17,34 @@ namespace pmpr::obs {
 
 namespace {
 
-constexpr std::size_t kLabelLen = 32;
-
-/// One padded per-thread heartbeat slot. `label` is plain chars written
-/// by the owning thread; cross-thread reads are racy-by-contract (always
-/// NUL-terminated, possibly stale) — same discipline as the flight
-/// recorder's ring labels.
+/// One padded per-thread heartbeat slot.
 struct alignas(64) BeatSlot {
   std::atomic<std::int64_t> t_ns{0};       ///< Last beat (trace_now_ns).
   std::atomic<const char*> phase{nullptr}; ///< Literal; nullptr = idle.
   std::atomic<std::uint64_t> beats{0};
-  char label[kLabelLen] = {};
 };
 
-constexpr std::size_t kOwnedBlocks = 256;
-constexpr std::size_t kTotalBlocks = kOwnedBlocks + 1;
+ThreadSlots<BeatSlot, kOwnedThreadSlots> g_beats;
 
-struct Registry {
-  std::array<BeatSlot, kTotalBlocks> slots;
-  std::atomic<std::size_t> next_slot{0};
+/// One slot's monitor-read state; age_ns is 0 for idle slots.
+struct BeatRead {
+  const char* phase;
+  std::int64_t age_ns;
+  std::uint64_t beats;
 };
 
-/// Same crash-path-friendly shape as the flight recorder registry: a
-/// namespace-scope atomic pointer the signal handler can load (and bail
-/// on null) without risking lazy construction in signal context.
-std::atomic<Registry*> g_registry{nullptr};
+// PMPR_ASYNC_SIGNAL_SAFE_BEGIN
 
-Registry* registry_if_exists() {
-  // acquire: pairs with the release publication in ensure_registry; a
-  // non-null pointer implies fully-constructed slots.
-  return g_registry.load(std::memory_order_acquire);
+BeatRead read_slot(const BeatSlot& slot, std::int64_t now) {
+  // relaxed: advisory monitor reads, see heartbeat_slow.
+  const char* phase = slot.phase.load(std::memory_order_relaxed);
+  const std::int64_t t = slot.t_ns.load(std::memory_order_relaxed);
+  const std::uint64_t beats =
+      slot.beats.load(std::memory_order_relaxed);  // relaxed: ditto
+  return {phase, phase != nullptr && t > 0 && now > t ? now - t : 0, beats};
 }
 
-Registry& ensure_registry() {
-  // acquire: see registry_if_exists.
-  Registry* r = g_registry.load(std::memory_order_acquire);
-  if (r != nullptr) return *r;
-  // Intentionally leaked: threads may still beat during static
-  // destruction, and the crash handler may read at any time.
-  Registry* fresh = new Registry;
-  Registry* expected = nullptr;
-  // acq_rel CAS: release publishes construction; acquire on failure
-  // synchronizes with the winning installer.
-  if (g_registry.compare_exchange_strong(expected, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-    return *fresh;
-  }
-  delete fresh;  // lost the installation race
-  return *expected;
-}
-
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-thread_local std::size_t tls_slot = kNoSlot;
-
-BeatSlot& my_slot() {
-  Registry& r = ensure_registry();
-  if (tls_slot == kNoSlot) {
-    // seq_cst fetch_add: runs once per thread; no need to reason about a
-    // weaker order.
-    tls_slot = std::min(r.next_slot.fetch_add(1), kOwnedBlocks);
-  }
-  return r.slots[tls_slot];
-}
-
-std::size_t claimed_slots(const Registry& r) {
-  // seq_cst load of a cold gauge; mirrors the claim in my_slot.
-  return std::min(r.next_slot.load(), kTotalBlocks);
-}
+// PMPR_ASYNC_SIGNAL_SAFE_END
 
 // Process-wide watchdog totals (all Watchdog instances feed them; the
 // metrics writer and crash reports read them).
@@ -104,12 +63,12 @@ std::int64_t to_ns(std::chrono::milliseconds ms) {
 
 namespace detail {
 
-void heartbeat_slow(const char* phase) {
-  BeatSlot& slot = my_slot();
+void heartbeat_slow(const char* phase, std::int64_t t_ns) {
+  BeatSlot& slot = g_beats.mine();
   // relaxed: heartbeat fields are advisory monitor-read state — the
   // watchdog tolerates a stale (phase, t_ns) pairing for one tick, and
   // `phase` only ever points to static storage.
-  slot.t_ns.store(trace_now_ns(), std::memory_order_relaxed);
+  slot.t_ns.store(t_ns, std::memory_order_relaxed);
   slot.phase.store(phase, std::memory_order_relaxed);  // relaxed: ditto
   slot.beats.fetch_add(1, std::memory_order_relaxed);  // relaxed: ditto
 }
@@ -117,48 +76,32 @@ void heartbeat_slow(const char* phase) {
 void heartbeat_idle_slow() {
   // relaxed: advisory retirement; a one-tick-stale idle flag only delays
   // the slot leaving the stall scan.
-  my_slot().phase.store(nullptr, std::memory_order_relaxed);
+  g_beats.mine().phase.store(nullptr, std::memory_order_relaxed);
 }
 
 }  // namespace detail
 
 bool set_heartbeats_enabled(bool enabled) {
   if (enabled) {
-    ensure_registry();  // allocate the slots before the first beat
+    g_beats.ensure();  // allocate the slots before the first beat
   }
   // seq_cst exchange: cold toggle, strongest order keeps reasoning trivial.
   return detail::g_heartbeats_enabled.exchange(enabled);
 }
 
-void heartbeat_set_label(std::string_view label) {
-  BeatSlot& slot = my_slot();
-  const std::size_t n = std::min(label.size(), kLabelLen - 1);
-  for (std::size_t i = 0; i < n; ++i) slot.label[i] = label[i];
-  slot.label[n] = '\0';
-}
-
 std::vector<HeartbeatView> heartbeat_table() {
   std::vector<HeartbeatView> out;
-  Registry* r = registry_if_exists();
-  if (r == nullptr) return out;
   const std::int64_t now = trace_now_ns();
-  const std::size_t n = claimed_slots(*r);
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const BeatSlot& slot = r->slots[i];
+  g_beats.for_each_claimed([&](std::size_t i, const BeatSlot& slot) {
+    const BeatRead r = read_slot(slot, now);
     HeartbeatView v;
     v.tid = static_cast<std::uint32_t>(i);
-    v.label = slot.label;
-    // relaxed: advisory monitor reads, see heartbeat_slow.
-    const char* phase = slot.phase.load(std::memory_order_relaxed);
-    const std::int64_t t = slot.t_ns.load(std::memory_order_relaxed);
-    v.beats = slot.beats.load(std::memory_order_relaxed);  // relaxed: ditto
-    if (phase != nullptr) {
-      v.phase = phase;
-      v.age_ns = t > 0 && now > t ? now - t : 0;
-    }
+    v.label = thread_slot_label(i).text;
+    if (r.phase != nullptr) v.phase = r.phase;
+    v.age_ns = r.age_ns;
+    v.beats = r.beats;
     out.push_back(std::move(v));
-  }
+  });
   return out;
 }
 
@@ -185,41 +128,29 @@ void reset_watchdog_stats() {
 
 void watchdog_emit_heartbeats_json(int fd) {
   sigsafe_puts(fd, "[");
-  // acquire: a non-null registry pointer implies constructed slots.
-  Registry* r = g_registry.load(std::memory_order_acquire);
-  if (r != nullptr) {
-    const std::int64_t now = trace_now_ns();
-    // seq_cst load of a cold gauge.
-    const std::size_t n = std::min(r->next_slot.load(), kTotalBlocks);
-    for (std::size_t i = 0; i < n; ++i) {
-      const BeatSlot& slot = r->slots[i];
-      // relaxed: advisory monitor reads, see heartbeat_slow.
-      const char* phase = slot.phase.load(std::memory_order_relaxed);
-      const std::int64_t t = slot.t_ns.load(std::memory_order_relaxed);
-      const std::uint64_t beats =
-          slot.beats.load(std::memory_order_relaxed);  // relaxed: ditto
-      if (i != 0) sigsafe_puts(fd, ",");
-      sigsafe_puts(fd, "\n    {\"tid\": ");
-      sigsafe_put_u64(fd, i);
-      sigsafe_puts(fd, ", \"label\": \"");
-      sigsafe_put_json_str(fd, slot.label);
-      sigsafe_puts(fd, "\", \"phase\": \"");
-      sigsafe_put_json_str(fd, phase != nullptr ? phase : "");
-      sigsafe_puts(fd, "\", \"age_ns\": ");
-      sigsafe_put_i64(fd,
-                      phase != nullptr && t > 0 && now > t ? now - t : 0);
-      sigsafe_puts(fd, ", \"beats\": ");
-      sigsafe_put_u64(fd, beats);
-      sigsafe_puts(fd, "}");
-    }
-    if (n != 0) sigsafe_puts(fd, "\n  ");
-  }
-  sigsafe_puts(fd, "]");
+  const std::int64_t now = trace_now_ns();
+  bool any = false;
+  g_beats.for_each_claimed([&](std::size_t i, const BeatSlot& slot) {
+    const BeatRead r = read_slot(slot, now);
+    sigsafe_puts(fd, any ? ",\n    {\"tid\": " : "\n    {\"tid\": ");
+    any = true;
+    sigsafe_put_u64(fd, i);
+    sigsafe_puts(fd, ", \"label\": \"");
+    sigsafe_put_json_str(fd, thread_slot_label(i).text);
+    sigsafe_puts(fd, "\", \"phase\": \"");
+    sigsafe_put_json_str(fd, r.phase != nullptr ? r.phase : "");
+    sigsafe_puts(fd, "\", \"age_ns\": ");
+    sigsafe_put_i64(fd, r.age_ns);
+    sigsafe_puts(fd, ", \"beats\": ");
+    sigsafe_put_u64(fd, r.beats);
+    sigsafe_puts(fd, "}");
+  });
+  sigsafe_puts(fd, any ? "\n  ]" : "]");
 }
 
 // PMPR_ASYNC_SIGNAL_SAFE_END
 
-void watchdog_prewarm() { ensure_registry(); }
+void watchdog_prewarm() { g_beats.ensure(); }
 
 Watchdog::Watchdog(WatchdogOptions opts) : opts_(std::move(opts)) {}
 
@@ -234,67 +165,37 @@ std::chrono::milliseconds Watchdog::effective_interval() const {
 
 void Watchdog::start() {
   LockGuard lock(mu_);
-  if (thread_.joinable()) return;
-  stop_requested_ = false;
+  if (ticker_.running()) return;
   prev_heartbeats_ = set_heartbeats_enabled(true);
-  watchdog_prewarm();
   // seq_cst add of a cold stat.
   g_arms.fetch_add(1);
   fr_record(FrEvent::kWatchdogArm, "watchdog",
             static_cast<std::uint64_t>(to_ns(opts_.stall_threshold)));
-  thread_ = std::thread([this] { loop(); });
+  ticker_.start("obs.watchdog", effective_interval(), [this] { check_once(); });
 }
 
 void Watchdog::stop() {
-  std::thread t;
-  bool restore = false;
-  {
-    LockGuard lock(mu_);
-    stop_requested_ = true;
-    wake_cv_.notify_all();
-    if (thread_.joinable()) {
-      t.swap(thread_);
-      restore = prev_heartbeats_;
-    }
-  }
-  // Join outside the lock (the monitor takes mu_ per tick); only the one
-  // caller that swapped the handle out joins, so concurrent stops are
-  // safe and idempotent.
-  if (t.joinable()) {
-    t.join();
-    set_heartbeats_enabled(restore);
-  }
-}
-
-bool Watchdog::running() const {
+  // Only the one caller that joined the monitor restores the gate.
+  if (!ticker_.stop()) return;
   LockGuard lock(mu_);
-  return thread_.joinable();
+  set_heartbeats_enabled(prev_heartbeats_);
 }
 
 bool Watchdog::check_once() {
-  Registry* r = registry_if_exists();
-  if (r == nullptr) return false;
   const std::int64_t now = trace_now_ns();
   const char* worst_phase = nullptr;
   std::uint32_t worst_tid = 0;
   std::int64_t worst_age = 0;
   std::uint64_t total_beats = 0;
-  const std::size_t n = claimed_slots(*r);
-  for (std::size_t i = 0; i < n; ++i) {
-    const BeatSlot& slot = r->slots[i];
-    // relaxed: advisory monitor reads, see heartbeat_slow.
-    total_beats += slot.beats.load(std::memory_order_relaxed);
-    const char* phase = slot.phase.load(std::memory_order_relaxed);
-    const std::int64_t t =
-        slot.t_ns.load(std::memory_order_relaxed);  // relaxed: ditto
-    if (phase == nullptr || t <= 0 || now <= t) continue;
-    const std::int64_t age = now - t;
-    if (age > worst_age) {
-      worst_age = age;
-      worst_phase = phase;
+  g_beats.for_each_claimed([&](std::size_t i, const BeatSlot& slot) {
+    const BeatRead r = read_slot(slot, now);
+    total_beats += r.beats;
+    if (r.age_ns > worst_age) {
+      worst_age = r.age_ns;
+      worst_phase = r.phase;
       worst_tid = static_cast<std::uint32_t>(i);
     }
-  }
+  });
   // seq_cst CAS-max watermark on a cold stat.
   std::int64_t seen = g_max_age_ns.load();
   while (worst_age > seen &&
@@ -350,19 +251,6 @@ void Watchdog::fire(const char* phase, std::uint32_t tid,
                   << opts_.stall_threshold.count() << " ms)"
                   << (dumped ? " — diagnostic dump: " + path : std::string());
   if (opts_.abort_on_stall) std::abort();
-}
-
-void Watchdog::loop() {
-  set_thread_name("obs.watchdog");
-  const std::chrono::milliseconds interval = effective_interval();
-  for (;;) {
-    check_once();
-    LockGuard lock(mu_);
-    if (stop_requested_) return;
-    // Interruptible pacing: stop() flips stop_requested_ under mu_ and
-    // notifies, so shutdown never waits out a full interval.
-    wake_cv_.wait_for(lock, interval);
-  }
 }
 
 }  // namespace pmpr::obs

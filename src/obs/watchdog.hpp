@@ -5,15 +5,15 @@
 // Two pieces:
 //
 //   1. Heartbeats. Every participating thread owns a cache-line-padded
-//      slot (counters-style claim discipline) holding {last-beat
-//      timestamp, current phase literal, beat tally, label}. The thread
-//      pool beats per task and retires its slot when it parks; the three
-//      runners beat at every phase edge (via FrPhase below); the paged
-//      store beats on its map/evict path. heartbeat() is one relaxed
-//      load + branch when the gate is off.
+//      slot in an obs::ThreadSlots registry (obs/thread_slots.hpp)
+//      holding {last-beat timestamp, current phase literal, beat tally}.
+//      The thread pool beats per task and retires its slot when it parks;
+//      the three runners and the paged store's map path beat at every
+//      phase edge (via PMPR_PHASE, obs/phase.hpp). heartbeat() is one
+//      relaxed load + branch when the gate is off.
 //
-//   2. The Watchdog monitor thread (structured like obs::Sampler:
-//      interruptible condvar pacing, swap-join stop). Each tick it scans
+//   2. The Watchdog monitor, run on an obs::Ticker thread (the loop
+//      obs::Sampler runs on too). Each tick it scans
 //      the *active* slots (phase != idle) for the stalest beat; when that
 //      age exceeds the stall threshold and no slot has beaten since the
 //      last fire, it records the stall (flight recorder + global stats),
@@ -40,11 +40,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/flightrec.hpp"
+#include "obs/ticker.hpp"
+#include "obs/trace.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace pmpr::obs {
@@ -52,8 +52,8 @@ namespace pmpr::obs {
 namespace detail {
 /// Inline so heartbeats_enabled() compiles to one load per call site.
 inline std::atomic<bool> g_heartbeats_enabled{false};
-/// Out-of-line slow paths: claim this thread's slot on first use.
-void heartbeat_slow(const char* phase);
+/// Out-of-line slow paths on the calling thread's slot.
+void heartbeat_slow(const char* phase, std::int64_t t_ns);
 void heartbeat_idle_slow();
 }  // namespace detail
 
@@ -76,7 +76,7 @@ bool set_heartbeats_enabled(bool enabled);
 /// per edge/iteration.
 inline void heartbeat(const char* phase) {
   if (!heartbeats_enabled()) return;
-  detail::heartbeat_slow(phase);
+  detail::heartbeat_slow(phase, trace_now_ns());
 }
 
 /// Retires the calling thread's slot (phase = idle): an idle thread is
@@ -87,15 +87,10 @@ inline void heartbeat_idle() {
   detail::heartbeat_idle_slow();
 }
 
-/// Labels the calling thread's heartbeat slot for diagnostic dumps.
-/// Ungated (threads name themselves at spawn, once); forwarded from
-/// obs::set_thread_name like fr_set_thread_label.
-void heartbeat_set_label(std::string_view label);
-
 /// One slot's state as seen by the monitor/metrics (safe path).
 struct HeartbeatView {
-  std::uint32_t tid = 0;      ///< Heartbeat slot index.
-  std::string label;          ///< Thread label ("" when never set).
+  std::uint32_t tid = 0;      ///< Thread slot index.
+  std::string label;          ///< Thread slot label ("" when never set).
   std::string phase;          ///< Current phase ("" = idle slot).
   std::int64_t age_ns = 0;    ///< now - last beat (active slots only).
   std::uint64_t beats = 0;    ///< Lifetime beat tally.
@@ -123,9 +118,9 @@ void reset_watchdog_stats();
 /// loads and write(2). Async-signal-safe; the crash handler calls it.
 void watchdog_emit_heartbeats_json(int fd);
 
-/// Forces the heartbeat registry to exist now so the crash handler only
-/// ever loads an already-published pointer. Called by
-/// install_crash_handler(); harmless to call repeatedly.
+/// Allocates the heartbeat slots now, so crash reports always carry the
+/// heartbeat table. Called by install_crash_handler(); harmless to call
+/// repeatedly.
 void watchdog_prewarm();
 
 struct WatchdogOptions {
@@ -146,8 +141,8 @@ struct WatchdogOptions {
 
 /// The stall monitor. Construction does not arm it; start() enables
 /// heartbeats and spawns the monitor thread, stop() joins it and restores
-/// the previous heartbeat gate. Same lifetime discipline as Sampler:
-/// prompt interruptible shutdown, concurrent/repeated stop() is safe.
+/// the previous heartbeat gate. Shutdown is the Ticker's: prompt, and
+/// concurrent/repeated stop() is safe.
 class Watchdog {
  public:
   explicit Watchdog(WatchdogOptions opts = {});
@@ -160,11 +155,10 @@ class Watchdog {
   void start();
 
   /// Signals the monitor and joins it. Idempotent and safe to race from
-  /// several threads (the joinable thread handle is swapped out under the
-  /// lock; exactly one caller joins).
+  /// several threads (exactly one caller joins, see Ticker::stop).
   void stop();
 
-  [[nodiscard]] bool running() const;
+  [[nodiscard]] bool running() const { return ticker_.running(); }
 
   /// Stalls this instance has declared.
   [[nodiscard]] std::uint64_t fires() const {
@@ -179,17 +173,13 @@ class Watchdog {
   bool check_once();
 
  private:
-  void loop();
   void fire(const char* phase, std::uint32_t tid, std::int64_t age_ns,
             std::uint64_t total_beats);
   [[nodiscard]] std::chrono::milliseconds effective_interval() const;
 
   const WatchdogOptions opts_;
 
-  mutable Mutex mu_;
-  CondVar wake_cv_;
-  bool stop_requested_ PMPR_GUARDED_BY(mu_) = false;
-  std::thread thread_ PMPR_GUARDED_BY(mu_);
+  Mutex mu_;  ///< Serializes start() against the gate restore in stop().
   bool prev_heartbeats_ PMPR_GUARDED_BY(mu_) = false;
 
   std::atomic<std::uint64_t> fires_{0};
@@ -198,38 +188,9 @@ class Watchdog {
   /// callers must not race a live loop, like Sampler::sample_once).
   std::uint64_t beats_at_last_fire_ = 0;
   bool fired_since_progress_ = false;
+  /// Last member: destroyed (stopped and joined) before the state the
+  /// monitor thread reads.
+  Ticker ticker_;
 };
-
-/// RAII failure-diagnostics scope for runner phases: records
-/// kSpanBegin/kSpanEnd into the flight recorder and beats the calling
-/// thread's heartbeat at both edges. Sits next to PMPR_TRACE_SPAN +
-/// PhaseTimer at every phase site; costs two relaxed loads when both
-/// gates are off. `name` must be a string literal.
-class FrPhase {
- public:
-  explicit FrPhase(const char* name, std::uint64_t id = 0)
-      : name_(name), id_(id) {
-    fr_record(FrEvent::kSpanBegin, name_, id_);
-    heartbeat(name_);
-  }
-  ~FrPhase() {
-    fr_record(FrEvent::kSpanEnd, name_, id_);
-    heartbeat(name_);
-  }
-
-  FrPhase(const FrPhase&) = delete;
-  FrPhase& operator=(const FrPhase&) = delete;
-
- private:
-  const char* name_;
-  std::uint64_t id_;
-};
-
-#define PMPR_FR_CONCAT2(a, b) a##b
-#define PMPR_FR_CONCAT(a, b) PMPR_FR_CONCAT2(a, b)
-
-/// Scoped phase breadcrumb + heartbeat (see FrPhase).
-#define PMPR_FR_PHASE(name, id) \
-  ::pmpr::obs::FrPhase PMPR_FR_CONCAT(pmpr_fr_phase_, __LINE__)(name, id)
 
 }  // namespace pmpr::obs

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/thread_slots.hpp"
+
 namespace pmpr {
 namespace {
 
@@ -148,7 +150,7 @@ TEST(FlightRecorder, PerThreadRingsGetDistinctTids) {
 
 TEST(FlightRecorder, BlackboxJsonCarriesSchemaLabelsAndEvents) {
   FlightRecGuard guard;
-  obs::fr_set_thread_label("fr.test.thread");
+  obs::set_thread_slot_label("fr.test.thread");
   obs::set_flight_recorder_enabled(true);
   obs::fr_record(obs::FrEvent::kMark, "fr.test.box", 3, 4);
   std::ostringstream out;

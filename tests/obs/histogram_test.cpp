@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "obs/counters.hpp"
+#include "obs/phase.hpp"
 #include "par/parallel_for.hpp"
 #include "par/thread_pool.hpp"
 
@@ -72,7 +73,7 @@ TEST(Histogram, DisabledRecordIsNoOp) {
   ASSERT_FALSE(obs::histograms_enabled());
   obs::record_duration(obs::Phase::kIterate, 1000);
   {
-    obs::PhaseTimer timer(obs::Phase::kBuild);
+    PMPR_PHASE("hist.test.build", obs::Phase::kBuild, 0);
   }
   const obs::HistogramSnapshot snap = obs::histograms_snapshot();
   EXPECT_EQ(snap[obs::Phase::kIterate].total_count(), 0u);
@@ -135,12 +136,12 @@ TEST(Histogram, EmptyPercentileIsZero) {
   EXPECT_EQ(h.mean_ns(), 0.0);
 }
 
-TEST(Histogram, PhaseTimerRecordsElapsed) {
+TEST(Histogram, PhaseScopeRecordsElapsed) {
   HistogramGuard guard;
   obs::set_histograms_enabled(true);
   const obs::HistogramSnapshot before = obs::histograms_snapshot();
   {
-    obs::PhaseTimer timer(obs::Phase::kBuild);
+    PMPR_PHASE("hist.test.build", obs::Phase::kBuild, 0);
     // Burn a little time so the recording is non-degenerate.
     volatile std::uint64_t x = 0;
     for (int i = 0; i < 10000; ++i) x = x + static_cast<std::uint64_t>(i);
@@ -158,7 +159,7 @@ TEST(Histogram, TimerStartedBeforeDisableStillRecords) {
   obs::set_histograms_enabled(true);
   const obs::HistogramSnapshot before = obs::histograms_snapshot();
   {
-    obs::PhaseTimer timer(obs::Phase::kSink);
+    PMPR_PHASE("hist.test.sink", obs::Phase::kSink, 0);
     obs::set_histograms_enabled(false);
   }
   const obs::HistogramSnapshot delta =

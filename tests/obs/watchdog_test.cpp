@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/flightrec.hpp"
+#include "obs/thread_slots.hpp"
 
 namespace pmpr {
 namespace {
@@ -62,7 +63,7 @@ TEST(Heartbeat, DisabledBeatIsDropped) {
 TEST(Heartbeat, RecordsPhaseLabelAndBeats) {
   WatchdogTestGuard guard;
   obs::set_heartbeats_enabled(true);
-  obs::heartbeat_set_label("wd.test.label");
+  obs::set_thread_slot_label("wd.test.label");
   obs::heartbeat("wd.test.phase");
   bool found = false;
   for (const obs::HeartbeatView& v : obs::heartbeat_table()) {
@@ -76,7 +77,9 @@ TEST(Heartbeat, RecordsPhaseLabelAndBeats) {
   // Retiring the slot marks it idle, not gone: the tid stays claimed.
   obs::heartbeat_idle();
   for (const obs::HeartbeatView& v : obs::heartbeat_table()) {
-    if (v.label == "wd.test.label") EXPECT_EQ(v.phase, "");
+    if (v.label == "wd.test.label") {
+      EXPECT_EQ(v.phase, "");
+    }
   }
 }
 
