@@ -317,8 +317,7 @@ BLOCKING_MEMBER_RE = re.compile(
     r"\b(\w+)\s*(?:\.|->)\s*(submit|wait|wait_for|wait_until|join)\s*\("
 )
 BLOCKING_FREE_RE = re.compile(
-    r"\b(parallel_for_range|parallel_for|parallel_reduce_slots|"
-    r"parallel_reduce)\s*\("
+    r"\b(parallel_for_range|parallel_for|parallel_reduce)\s*\("
 )
 CALL_RE = re.compile(r"\b(\w+)\s*\(")
 

@@ -53,9 +53,12 @@ struct PostmortemConfig {
   PagerankParams pr;
   ParallelMode mode = ParallelMode::kNested;
   KernelKind kernel = KernelKind::kSpmm;
+  /// Partitioner and grain of the in-kernel loops (kPagerank, kNested).
+  /// They do not split windows: window-level width is one task per part.
   par::Partitioner partitioner = par::Partitioner::kAuto;
   std::size_t grain = 1;
   /// Number of multi-window graphs Y (paper evaluates 6..1024, Fig. 8).
+  /// Each part is one partial-init chain and one window-level task.
   std::size_t num_multi_windows = 6;
   /// How windows are assigned to multi-window graphs (kBalancedEvents is
   /// the paper's future-work decomposition; see graph/multi_window.hpp).

@@ -22,12 +22,10 @@ namespace pmpr {
 
 namespace {
 
-/// Per-execution-context scratch. Acquired per work item from a per-thread
-/// stack: the common case reuses the same state for consecutive items on a
-/// thread (which is what lets partial initialization chain, §4.3.1); the
-/// rare nested-steal reentrancy gets a fresh state instead of corrupting
-/// the busy one.
-struct ThreadState {
+/// Scratch and partial-init carry of one chain: the items of one part,
+/// processed in order by one task, so item i > 0 warm-starts from item i-1
+/// (§4.3.1) whichever thread runs the chain.
+struct ChainState {
   WindowState ws;
   SpmmWindowState spmm_ws;
   CompiledWindowCsr compiled_win;
@@ -39,20 +37,12 @@ struct ThreadState {
   std::vector<double> scratch;
   std::vector<double> lane_buf;
 
-  // Carry for partial initialization: result of the previous item this
-  // state processed.
+  // Carry for partial initialization: result of the chain's previous item.
   std::vector<double> prev_x;
   std::vector<std::uint8_t> prev_active;      // SpMV
   std::vector<std::uint64_t> prev_mask;       // SpMM, n * prev_words
   std::size_t prev_lanes = 0;                 // SpMM
   std::size_t prev_words = 1;                 // SpMM mask words
-  std::size_t carry_part = SIZE_MAX;
-  std::size_t carry_index = SIZE_MAX;
-};
-
-struct WorkItem {
-  std::size_t part;
-  std::size_t index;  // window-in-part (SpMV) or batch-in-part (SpMM)
 };
 
 /// SpMM batch geometry for one part (§4.4): W windows are divided into
@@ -141,7 +131,7 @@ void spmm_partial_init_lane(std::span<const double> prev_x,
 class PostmortemDriver {
  public:
   /// Exactly one of `set` / `paged` is non-null. The paged form processes
-  /// the work list part-major, holding a pin lease on one part at a time.
+  /// parts in order, holding a pin lease on one part at a time.
   PostmortemDriver(const MultiWindowSet* set, PagedMultiWindowSet* paged,
                    ResultSink& sink, const PostmortemConfig& cfg,
                    RunResult& result)
@@ -151,30 +141,9 @@ class PostmortemDriver {
         sink_(sink),
         cfg_(cfg),
         result_(result) {
-    pool_ = cfg.pool != nullptr ? cfg.pool : &par::ThreadPool::global();
-    for_opts_ = par::ForOptions{cfg.partitioner, cfg.grain, pool_};
+    kernel_opts_ = par::ForOptions{cfg.partitioner, cfg.grain, cfg.pool};
     kernel_par_ =
-        cfg.mode == ParallelMode::kWindow ? nullptr : &for_opts_;
-
-    // One work-item list spanning all parts, ordered by part then index so
-    // contiguous chunks chain partial initialization. The paged driver
-    // additionally relies on this order: items of one part are contiguous,
-    // so a single lease covers a maximal run.
-    const std::size_t num_parts =
-        set != nullptr ? set->num_parts() : paged->num_parts();
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      const MultiWindowGraph& part =
-          set != nullptr ? set->part(p) : paged->part_meta(p);
-      const std::size_t count =
-          cfg.kernel == KernelKind::kSpmv
-              ? part.num_windows
-              : batching_for(part.num_windows, cfg.vector_length,
-                             cfg.max_lanes)
-                    .num_batches;
-      for (std::size_t i = 0; i < count; ++i) items_.push_back({p, i});
-    }
-
-    state_stacks_.resize(pool_->num_threads() + 1);
+        cfg.mode == ParallelMode::kWindow ? nullptr : &kernel_opts_;
   }
 
   void run() {
@@ -184,19 +153,21 @@ class PostmortemDriver {
     result_.residual_trajectories.assign(spec_.count, {});
 
     if (paged_ != nullptr) {
-      run_paged();
+      // At most one part (plus LRU leftovers under the budget) resident.
+      for (std::size_t p = 0; p < paged_->num_parts(); ++p) {
+        const PagedMultiWindowSet::Lease lease = paged_->acquire(p);
+        run_chain(lease.part());
+      }
     } else if (cfg_.mode == ParallelMode::kPagerank) {
       // Windows strictly in order, parallelism inside the kernel only.
-      StateLease lease(*this);
-      for (const WorkItem& item : items_) process(*lease.state, item);
+      for (std::size_t p = 0; p < set_->num_parts(); ++p) {
+        run_chain(set_->part(p));
+      }
     } else {
-      par::parallel_for_range(
-          0, items_.size(), for_opts_, [this](std::size_t lo, std::size_t hi) {
-            StateLease lease(*this);
-            for (std::size_t i = lo; i < hi; ++i) {
-              process(*lease.state, items_[i]);
-            }
-          });
+      // Window-level width: one task per part.
+      const par::ForOptions per_part{par::Partitioner::kSimple, 1, cfg_.pool};
+      par::parallel_for(0, set_->num_parts(), per_part,
+                        [this](std::size_t p) { run_chain(set_->part(p)); });
     }
 
     for (const int iters : result_.iterations_per_window) {
@@ -205,78 +176,27 @@ class PostmortemDriver {
   }
 
  private:
-  /// RAII acquisition of a per-thread state (stack per thread slot; only
-  /// the owning thread touches its stack, so no locking).
-  struct StateLease {
-    explicit StateLease(PostmortemDriver& driver) : d(driver) {
-      const int idx = par::ThreadPool::current_worker_index();
-      slot = idx >= 0 ? static_cast<std::size_t>(idx) : d.pool_->num_threads();
-      auto& stack = d.state_stacks_[slot];
-      if (stack.empty()) {
-        state_holder = std::make_unique<ThreadState>();
-      } else {
-        state_holder = std::move(stack.back());
-        stack.pop_back();
-      }
-      state = state_holder.get();
-    }
-    ~StateLease() {
-      d.state_stacks_[slot].push_back(std::move(state_holder));
-    }
-    PostmortemDriver& d;
-    std::size_t slot = 0;
-    std::unique_ptr<ThreadState> state_holder;
-    ThreadState* state = nullptr;
-  };
-
-  /// Part-major paged execution: maximal runs of same-part items share one
-  /// pin lease; groups run strictly in sequence so at most one part (plus
-  /// LRU leftovers under the budget) is resident. Within a group the
-  /// configured mode applies as usual.
-  void run_paged() {
-    std::size_t i = 0;
-    while (i < items_.size()) {
-      const std::size_t p = items_[i].part;
-      std::size_t j = i;
-      while (j < items_.size() && items_[j].part == p) ++j;
-      PagedMultiWindowSet::Lease lease = paged_->acquire(p);
-      // Published to the workers by the parallel_for fork below.
-      paged_part_ = &lease.part();
-      if (cfg_.mode == ParallelMode::kPagerank) {
-        StateLease slease(*this);
-        for (std::size_t k = i; k < j; ++k) process(*slease.state, items_[k]);
-      } else {
-        par::parallel_for_range(
-            i, j, for_opts_, [this](std::size_t lo, std::size_t hi) {
-              StateLease slease(*this);
-              for (std::size_t k = lo; k < hi; ++k) {
-                process(*slease.state, items_[k]);
-              }
-            });
-      }
-      paged_part_ = nullptr;
-      i = j;
-    }
-  }
-
-  /// The part an item reads: the pinned one under paged execution (the
-  /// paged store's slot graphs are only mapped while leased), the set's
-  /// otherwise.
-  [[nodiscard]] const MultiWindowGraph& part_of(const WorkItem& item) const {
-    return paged_ != nullptr ? *paged_part_ : set_->part(item.part);
-  }
-
-  void process(ThreadState& st, const WorkItem& item) {
+  /// Processes one part's items (windows for SpMV, batches for SpMM) in
+  /// order on one state. Parts are cold-start boundaries: their vertex
+  /// numberings differ.
+  void run_chain(const MultiWindowGraph& part) {
+    ChainState st;
     if (cfg_.kernel == KernelKind::kSpmv) {
-      process_spmv(st, item);
+      for (std::size_t i = 0; i < part.num_windows; ++i) {
+        process_spmv(st, part, i);
+      }
     } else {
-      process_spmm(st, item);
+      const PartBatching geo =
+          batching_for(part.num_windows, cfg_.vector_length, cfg_.max_lanes);
+      for (std::size_t j = 0; j < geo.num_batches; ++j) {
+        process_spmm(st, part, geo, j);
+      }
     }
   }
 
-  void process_spmv(ThreadState& st, const WorkItem& item) {
-    const MultiWindowGraph& part = part_of(item);
-    const std::size_t w = part.first_window + item.index;
+  void process_spmv(ChainState& st, const MultiWindowGraph& part,
+                    std::size_t i) {
+    const std::size_t w = part.first_window + i;
     const Timestamp ts = spec_.start(w);
     const Timestamp te = spec_.end(w);
     const std::size_t n = part.num_local();
@@ -289,10 +209,8 @@ class PostmortemDriver {
                      &st.decode_scratch);
     }
 
-    const bool partial = cfg_.partial_init && item.index > 0 &&
-                         st.carry_part == item.part &&
-                         st.carry_index == item.index - 1 &&
-                         st.prev_x.size() == n;
+    const bool partial =
+        cfg_.partial_init && i > 0 && st.prev_x.size() == n;
     {
       PMPR_PHASE("window.init", obs::Phase::kInit, w);
       if (partial) {
@@ -323,15 +241,10 @@ class PostmortemDriver {
 
     st.prev_x.swap(st.x);
     st.prev_active.swap(st.ws.active);
-    st.carry_part = item.part;
-    st.carry_index = item.index;
   }
 
-  void process_spmm(ThreadState& st, const WorkItem& item) {
-    const MultiWindowGraph& part = part_of(item);
-    const PartBatching geo =
-        batching_for(part.num_windows, cfg_.vector_length, cfg_.max_lanes);
-    const std::size_t j = item.index;
+  void process_spmm(ChainState& st, const MultiWindowGraph& part,
+                    const PartBatching& geo, std::size_t j) {
     const std::size_t lanes = lanes_of_batch(geo, part.num_windows, j);
     assert(lanes >= 1);
     const std::size_t n = part.num_local();
@@ -350,8 +263,6 @@ class PostmortemDriver {
     }
 
     const bool partial = cfg_.partial_init && j > 0 &&
-                         st.carry_part == item.part &&
-                         st.carry_index == j - 1 &&
                          st.prev_lanes >= lanes &&
                          st.prev_x.size() == n * st.prev_lanes;
     {
@@ -408,25 +319,17 @@ class PostmortemDriver {
     st.prev_mask = st.spmm_ws.active_mask;  // copy; spmm_ws reused next item
     st.prev_lanes = lanes;
     st.prev_words = st.spmm_ws.mask_words;
-    st.carry_part = item.part;
-    st.carry_index = j;
   }
 
   const MultiWindowSet* set_ = nullptr;
   PagedMultiWindowSet* paged_ = nullptr;
-  /// Pinned part of the group run_paged() is currently processing.
-  /// Written between groups only (before the fork / after the join), read
-  /// by the workers.
-  const MultiWindowGraph* paged_part_ = nullptr;
   const WindowSpec spec_;
   ResultSink& sink_;
   const PostmortemConfig& cfg_;
   RunResult& result_;
-  par::ThreadPool* pool_ = nullptr;
-  par::ForOptions for_opts_;
+  /// In-kernel loops: the configured partitioner and grain.
+  par::ForOptions kernel_opts_;
   const par::ForOptions* kernel_par_ = nullptr;
-  std::vector<WorkItem> items_;
-  std::vector<std::vector<std::unique_ptr<ThreadState>>> state_stacks_;
 };
 
 }  // namespace

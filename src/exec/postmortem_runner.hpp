@@ -1,9 +1,10 @@
 // Postmortem execution model (paper §4): the whole temporal graph is encoded
 // once as a MultiWindowSet; PageRank runs over windows with
-//   * partial initialization chained across consecutive windows processed by
-//     the same thread (§4.2, §4.3.1),
-//   * window-level / application-level / nested parallelism on the
-//     work-stealing pool (§4.3),
+//   * partial initialization chained across consecutive windows of one part:
+//     each part is one chain, processed in order by one task, so whether a
+//     window warm-starts never depends on scheduling (§4.2, §4.3.1),
+//   * window-level (one task per part) / application-level / nested
+//     parallelism on the work-stealing pool (§4.3),
 //   * the SpMV or SpMM-inspired kernel (§4.4); SpMM batches are strided so
 //     every batch after the first still partial-initializes.
 #pragma once
@@ -32,9 +33,10 @@ RunResult run_postmortem(const TemporalEdgeList& events,
 RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
                                   const PostmortemConfig& config);
 
-/// Runs on an already-built paged store. Parts are processed part-major:
-/// each part is pinned (PagedMultiWindowSet::acquire) while its windows /
-/// batches compute — possibly in parallel — then released to the LRU.
+/// Runs on an already-built paged store. Parts are processed in order:
+/// each part is pinned (PagedMultiWindowSet::acquire) while its chain of
+/// windows / batches computes (with in-kernel parallelism outside kWindow
+/// mode), then released to the LRU.
 /// Fills the oocore_* fields of RunResult from the store's
 /// PagingStats.
 RunResult run_postmortem_paged(PagedMultiWindowSet& paged, ResultSink& sink,

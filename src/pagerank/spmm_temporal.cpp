@@ -113,7 +113,7 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
     LaneVec dangling(lanes, 0.0);
     if (params.redistribute_dangling) {
       if (parallel != nullptr) {
-        dangling = par::parallel_reduce_slots(
+        dangling = par::parallel_reduce(
             0, dangling_rows, LaneVec(lanes, 0.0), *parallel,
             [&](std::size_t lo, std::size_t hi) {
               return dangling_scan_compiled(compiled, cur, lanes, live.data(),
@@ -136,7 +136,7 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
     obs::count(isa_counter);
     LaneVec diff(lanes, 0.0);
     if (parallel != nullptr) {
-      diff = par::parallel_reduce_slots(
+      diff = par::parallel_reduce(
           0, rows, LaneVec(lanes, 0.0), *parallel,
           [&](std::size_t lo, std::size_t hi) {
             LaneVec local(lanes, 0.0);

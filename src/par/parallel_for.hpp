@@ -2,10 +2,10 @@
 // work-stealing ThreadPool.
 //
 // The range form `parallel_for_range` hands each leaf a contiguous
-// [lo, hi) chunk that is guaranteed to execute sequentially on one thread.
-// The postmortem runner uses this to chain partial initialization across
-// consecutive windows inside a chunk (paper §4.3.1: "if the same thread
-// processes G_{i-1} and G_i, then partial initialization occurs").
+// [lo, hi) chunk. Which thread runs a leaf is up to the stealing, so no
+// result may depend on it: parallel_reduce combines its partials along the
+// fixed split tree, left before right, and the postmortem runner carries
+// partial initialization inside one task per part rather than across chunks.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +13,6 @@
 
 #include "par/partitioner.hpp"
 #include "par/thread_pool.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace pmpr::par {
 
@@ -44,6 +43,32 @@ void run_split(ThreadPool& pool, WaitGroup& wg, std::size_t lo, std::size_t hi,
     hi = mid;
   }
   body(lo, hi);
+}
+
+/// The reduction over [lo, hi) along run_split's tree: the right half is a
+/// stealable task, the left half runs here, and once both are done the
+/// partials combine left before right. The tree, and so the combine order,
+/// depends only on the range and the grain.
+template <typename T, typename Map, typename Combine>
+T reduce_split(ThreadPool& pool, std::size_t lo, std::size_t hi,
+               std::size_t grain, const Map& map, const Combine& combine) {
+  if (hi - lo <= grain) return map(lo, hi);
+  const std::size_t mid = lo + (hi - lo) / 2;
+  T right{};
+  WaitGroup wg;
+  wg.add(1);
+  pool.submit(
+      [&] { right = reduce_split<T>(pool, mid, hi, grain, map, combine); },
+      wg);
+  T left{};
+  try {
+    left = reduce_split<T>(pool, lo, mid, grain, map, combine);
+  } catch (...) {
+    pool.wait(wg);  // the task refers to this frame
+    throw;
+  }
+  pool.wait(wg);
+  return combine(std::move(left), std::move(right));
 }
 
 }  // namespace detail
@@ -83,55 +108,27 @@ void parallel_for(std::size_t begin, std::size_t end, const ForOptions& opts,
   });
 }
 
-/// Parallel reduction: `map(lo, hi)` produces a partial result per chunk,
-/// `combine(acc, partial)` folds it into the accumulator. `combine` runs
-/// under a lock, so it should be cheap relative to `map`.
+/// Parallel reduction: `map(lo, hi)` produces a partial result per leaf,
+/// `combine(a, b)` merges two adjacent partials, a before b. The leaves are
+/// parallel_for_range's chunks under the same options, and so is the
+/// 1-thread / single-chunk shortcut (one map(begin, end) call). Partials
+/// combine pairwise up the split tree, in parallel, and the result is
+/// combine(identity, tree), so an empty range returns `identity` unchanged.
+/// Which thread ran which leaf never reaches the result: floating-point
+/// sums are bit-reproducible for a given pool size, partitioner and grain.
 template <typename T, typename Map, typename Combine>
 T parallel_reduce(std::size_t begin, std::size_t end, T identity,
                   const ForOptions& opts, Map&& map, Combine&& combine) {
-  T acc = std::move(identity);
-  Mutex acc_mutex;
-  parallel_for_range(begin, end, opts,
-                     [&](std::size_t lo, std::size_t hi) {
-                       T partial = map(lo, hi);
-                       LockGuard lock(acc_mutex);
-                       acc = combine(std::move(acc), std::move(partial));
-                     });
-  return acc;
-}
-
-/// Lock-free parallel reduction for copyable array/struct accumulators
-/// (doubles, std::array<double, N>, small structs): each thread folds its
-/// chunks' partials into a cache-line-padded per-thread slot (one per
-/// worker plus one for the helping caller — see ThreadPool::reduce_slot),
-/// and the touched slots are combined with `identity` on the calling
-/// thread at the end. Like parallel_reduce, `identity` enters the result
-/// exactly once (an empty range returns it unchanged). The combine order
-/// is unspecified, so floating-point results may differ between runs at
-/// rounding precision.
-template <typename T, typename Map, typename Combine>
-T parallel_reduce_slots(std::size_t begin, std::size_t end, T identity,
-                        const ForOptions& opts, Map&& map, Combine&& combine) {
+  if (begin >= end) return identity;
   ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::global();
-  struct alignas(64) Slot {
-    T value;
-    bool used = false;
-  };
-  std::vector<Slot> slots(pool.num_threads() + 1);
-  parallel_for_range(begin, end, opts, [&](std::size_t lo, std::size_t hi) {
-    // Only the owning thread touches its slot, so no lock is needed; a
-    // nested steal that re-enters on the same thread runs combine
-    // sequentially between, not during, the outer body's calls.
-    Slot& slot = slots[pool.reduce_slot()];
-    slot.value =
-        slot.used ? combine(std::move(slot.value), map(lo, hi)) : map(lo, hi);
-    slot.used = true;
-  });
-  T acc = std::move(identity);
-  for (Slot& s : slots) {
-    if (s.used) acc = combine(std::move(acc), std::move(s.value));
+  const std::size_t n = end - begin;
+  const std::size_t grain =
+      effective_grain(opts.partitioner, n, opts.grain, pool.num_threads());
+  if (n <= grain || pool.num_threads() == 1) {
+    return combine(std::move(identity), map(begin, end));
   }
-  return acc;
+  T tree = detail::reduce_split<T>(pool, begin, end, grain, map, combine);
+  return combine(std::move(identity), std::move(tree));
 }
 
 }  // namespace pmpr::par

@@ -126,14 +126,6 @@ class ThreadPool : public obs::SchedulerProbe {
   /// the thread has never interacted with this pool.
   [[nodiscard]] static int current_worker_index();
 
-  /// Slot index of the current thread for per-thread accumulator arrays of
-  /// size num_threads() + 1: a worker of *this* pool gets its worker index;
-  /// any other thread — including a worker of a different pool — gets the
-  /// spare last slot. During a parallel_for on this pool, loop bodies run
-  /// only on this pool's workers plus the single (helping) caller, so slots
-  /// are never shared between concurrently-running bodies.
-  [[nodiscard]] std::size_t reduce_slot() const;
-
   // Monitoring introspection (the obs::SchedulerProbe contract, consumed
   // by obs::Sampler). All are safe to call from any thread while the pool
   // runs; values are advisory gauges — in-flight pushes/pops/steals and

@@ -1,12 +1,15 @@
 // Determinism and thread-count independence of the postmortem driver.
 //
-// Pull-style kernels sum each vertex's contributions in a fixed order, so
-// results must be bitwise-identical across repeated runs with the same
-// pool, and identical across different pool sizes (task partitioning never
-// changes the per-vertex summation order). Iteration counts may differ
-// between runs only through partial-init chunk boundaries, which are also
-// deterministic for a fixed pool size in sequential modes.
+// Nothing the scheduler decides reaches the ranks: pull-style kernels sum
+// each vertex's contributions in a fixed order, parallel_reduce combines its
+// leaves in range order along a fixed split tree, and the partial-init carry lives in one chain per
+// part rather than in a thread. Repeated runs on one pool are therefore
+// bitwise identical in every mode, and window mode (serial kernels) is
+// bitwise identical across pool sizes too.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "exec/postmortem_runner.hpp"
 #include "test_helpers.hpp"
@@ -31,22 +34,29 @@ std::vector<std::vector<std::pair<VertexId, double>>> run_all(
   return out;
 }
 
+void expect_bitwise_equal(
+    const std::vector<std::vector<std::pair<VertexId, double>>>& a,
+    const std::vector<std::vector<std::pair<VertexId, double>>>& b,
+    const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    ASSERT_EQ(a[w], b[w]) << label << " window " << w;
+  }
+}
+
 TEST(Determinism, RepeatedRunsBitwiseIdentical) {
   Scenario s;
   par::ThreadPool pool(3);
-  PostmortemConfig cfg;
-  cfg.pool = &pool;
-  cfg.mode = ParallelMode::kNested;
-  cfg.kernel = KernelKind::kSpmm;
-  const auto a = run_all(s, cfg);
-  const auto b = run_all(s, cfg);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t w = 0; w < a.size(); ++w) {
-    ASSERT_EQ(a[w].size(), b[w].size()) << "window " << w;
-    for (std::size_t i = 0; i < a[w].size(); ++i) {
-      ASSERT_EQ(a[w][i].first, b[w][i].first);
-      ASSERT_EQ(a[w][i].second, b[w][i].second)
-          << "window " << w << " entry " << i;
+  for (const auto kernel : {KernelKind::kSpmv, KernelKind::kSpmm}) {
+    for (const auto mode : {ParallelMode::kWindow, ParallelMode::kPagerank,
+                            ParallelMode::kNested}) {
+      PostmortemConfig cfg;
+      cfg.pool = &pool;
+      cfg.mode = mode;
+      cfg.kernel = kernel;
+      const std::string label =
+          std::string(to_string(kernel)) + "/" + std::string(to_string(mode));
+      expect_bitwise_equal(run_all(s, cfg), run_all(s, cfg), label);
     }
   }
 }
@@ -54,26 +64,34 @@ TEST(Determinism, RepeatedRunsBitwiseIdentical) {
 TEST(Determinism, PoolSizeDoesNotChangeResults) {
   Scenario s;
   par::ThreadPool pool1(1);
+  par::ThreadPool pool2(2);
   par::ThreadPool pool4(4);
   for (const auto mode : {ParallelMode::kWindow, ParallelMode::kPagerank,
                           ParallelMode::kNested}) {
-    PostmortemConfig c1;
-    c1.pool = &pool1;
-    c1.mode = mode;
-    PostmortemConfig c4;
-    c4.pool = &pool4;
-    c4.mode = mode;
-    const auto a = run_all(s, c1);
-    const auto b = run_all(s, c4);
-    for (std::size_t w = 0; w < a.size(); ++w) {
-      // Partial-init chunking differs with pool size, so iteration paths
-      // differ — but both converge to the same solution within tolerance.
-      std::vector<double> da(s.events.num_vertices(), 0.0);
-      std::vector<double> db(s.events.num_vertices(), 0.0);
-      for (const auto& [v, x] : a[w]) da[v] = x;
-      for (const auto& [v, x] : b[w]) db[v] = x;
-      ASSERT_LT(test::linf_diff(da, db), 1e-7)
-          << "window " << w << " mode " << to_string(mode);
+    PostmortemConfig cfg;
+    cfg.mode = mode;
+    cfg.pool = &pool1;
+    const auto a = run_all(s, cfg);
+    for (par::ThreadPool* pool : {&pool2, &pool4}) {
+      cfg.pool = pool;
+      const auto b = run_all(s, cfg);
+      const std::string label = std::string(to_string(mode)) + " pool " +
+                                std::to_string(pool->num_threads());
+      if (mode == ParallelMode::kWindow) {
+        // Serial kernels: the pool only decides where a part's chain runs.
+        expect_bitwise_equal(a, b, label);
+        continue;
+      }
+      // Under the auto and static partitioners the in-kernel reduction
+      // leaves follow pool size, so sums associate differently; both runs
+      // converge to the same solution within tolerance.
+      for (std::size_t w = 0; w < a.size(); ++w) {
+        std::vector<double> da(s.events.num_vertices(), 0.0);
+        std::vector<double> db(s.events.num_vertices(), 0.0);
+        for (const auto& [v, x] : a[w]) da[v] = x;
+        for (const auto& [v, x] : b[w]) db[v] = x;
+        ASSERT_LT(test::linf_diff(da, db), 1e-7) << label << " window " << w;
+      }
     }
   }
 }

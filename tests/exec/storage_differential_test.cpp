@@ -35,9 +35,6 @@ PostmortemConfig base_config(KernelKind kernel, ParallelMode mode) {
   cfg.num_multi_windows = 4;
   cfg.vector_length = 8;
   cfg.validate = true;
-  // Nested-mode partial-init chains depend on thread scheduling; exact
-  // cross-run equality needs the deterministic modes or partial_init off.
-  cfg.partial_init = mode == ParallelMode::kPagerank;
   return cfg;
 }
 
@@ -53,6 +50,9 @@ void expect_storage_kinds_agree(KernelKind kernel, ParallelMode mode,
                                 const char* label) {
   const Scenario s = scenario();
   PostmortemConfig cfg = base_config(kernel, mode);
+  // Several workers, so the parallel modes really run parts side by side.
+  par::ThreadPool pool(4);
+  cfg.pool = &pool;
 
   StoreAllSink in_ram(s.spec.count);
   cfg.storage = StorageKind::kInRam;

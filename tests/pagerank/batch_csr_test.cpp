@@ -150,7 +150,7 @@ TEST(CompileSpmmBatch, ReusedOutputIsReset) {
                      compiled);
 
   // Recompile a smaller batch into the same objects; results must match a
-  // fresh compile (the runner reuses per-thread state across work items).
+  // fresh compile (the runner reuses one state across a part's work items).
   const SpmmBatch small = batch_for(f.spec, 2, 3, 1);
   compile_spmm_batch(part, f.spec, small, state, compiled);
   SpmmWindowState fresh_state;

@@ -71,6 +71,30 @@ TEST(ParExceptions, ParallelForPropagates) {
                std::out_of_range);
 }
 
+TEST(ParExceptions, ParallelReducePropagates) {
+  // Leaf 0 throws on the calling thread while its right siblings are still
+  // queued; the last leaf throws inside a stolen right half.
+  ThreadPool pool(4);
+  ForOptions opts{Partitioner::kSimple, 1, &pool};
+  for (const std::size_t bad : {std::size_t{0}, std::size_t{99}}) {
+    EXPECT_THROW(parallel_reduce(
+                     0, 100, 0, opts,
+                     [bad](std::size_t lo, std::size_t) {
+                       if (lo == bad) throw std::out_of_range("bad leaf");
+                       return 1;
+                     },
+                     [](int a, int b) { return a + b; }),
+                 std::out_of_range)
+        << "leaf " << bad;
+  }
+  const int sum = parallel_reduce(
+      0, 100, 0, opts, [](std::size_t lo, std::size_t hi) {
+        return static_cast<int>(hi - lo);
+      },
+      [](int a, int b) { return a + b; });
+  EXPECT_EQ(sum, 100);
+}
+
 TEST(ParExceptions, ParallelForSmallRangeInlinePathPropagates) {
   // Ranges at or below the grain run inline on the caller.
   EXPECT_THROW(

@@ -4,8 +4,10 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <mutex>
 #include <numeric>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -124,48 +126,31 @@ TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
 }
 
 TEST(ParallelReduce, WorksUnderAllPartitioners) {
-  for (const auto p :
-       {Partitioner::kAuto, Partitioner::kSimple, Partitioner::kStatic}) {
-    ForOptions opts{p, 16, nullptr};
-    const double got = parallel_reduce(
-        0, 1000, 0.0, opts,
-        [](std::size_t lo, std::size_t hi) {
-          return static_cast<double>(hi - lo);
-        },
-        [](double a, double b) { return a + b; });
-    EXPECT_DOUBLE_EQ(got, 1000.0) << to_string(p);
+  ThreadPool pool(4);
+  for (ThreadPool* const p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const auto partitioner :
+         {Partitioner::kAuto, Partitioner::kSimple, Partitioner::kStatic}) {
+      ForOptions opts{partitioner, 8, p};
+      const double got = parallel_reduce(
+          0, 1000, 0.0, opts,
+          [](std::size_t lo, std::size_t hi) {
+            return static_cast<double>(hi - lo);
+          },
+          [](double a, double b) { return a + b; });
+      EXPECT_DOUBLE_EQ(got, 1000.0)
+          << to_string(partitioner) << (p == nullptr ? " global" : " own");
+    }
   }
 }
 
-TEST(ParallelReduceSlots, SumsCorrectly) {
-  constexpr std::size_t kN = 100000;
-  const std::uint64_t got = parallel_reduce_slots(
-      0, kN, std::uint64_t{0}, {},
-      [](std::size_t lo, std::size_t hi) {
-        std::uint64_t s = 0;
-        for (std::size_t i = lo; i < hi; ++i) s += i;
-        return s;
-      },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(got, static_cast<std::uint64_t>(kN) * (kN - 1) / 2);
-}
-
-TEST(ParallelReduceSlots, EmptyRangeReturnsIdentity) {
-  const int got = parallel_reduce_slots(
-      7, 7, 42, {}, [](std::size_t, std::size_t) { return 0; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(got, 42);
-}
-
-TEST(ParallelReduceSlots, ArrayAccumulator) {
-  // The lane-residual use case: a fixed-width array merged element-wise
-  // without a mutex.
+TEST(ParallelReduce, ArrayAccumulator) {
+  // The lane-residual use case: a fixed-width array merged element-wise.
   constexpr std::size_t kLanes = 8;
   using Acc = std::array<double, kLanes>;
   constexpr std::size_t kN = 4096;
   ThreadPool pool(3);
   ForOptions opts{Partitioner::kAuto, 16, &pool};
-  const Acc got = parallel_reduce_slots(
+  const Acc got = parallel_reduce(
       0, kN, Acc{}, opts,
       [](std::size_t lo, std::size_t hi) {
         Acc a{};
@@ -181,30 +166,15 @@ TEST(ParallelReduceSlots, ArrayAccumulator) {
   }
 }
 
-TEST(ParallelReduceSlots, ExternalPoolAndAllPartitioners) {
-  ThreadPool pool(4);
-  for (const auto p :
-       {Partitioner::kAuto, Partitioner::kSimple, Partitioner::kStatic}) {
-    ForOptions opts{p, 8, &pool};
-    const double got = parallel_reduce_slots(
-        0, 1000, 0.0, opts,
-        [](std::size_t lo, std::size_t hi) {
-          return static_cast<double>(hi - lo);
-        },
-        [](double a, double b) { return a + b; });
-    EXPECT_DOUBLE_EQ(got, 1000.0) << to_string(p);
-  }
-}
-
-TEST(ParallelReduceSlots, NestedInsideParallelFor) {
-  // Slot indexing must stay correct when the reduce runs from inside a
-  // worker of the same pool (the nested-parallelism path in the runner).
+TEST(ParallelReduce, NestedInsideParallelFor) {
+  // The nested-parallelism path in the runner: a reduce issued from inside
+  // a worker of the same pool.
   ThreadPool pool(3);
   ForOptions outer{Partitioner::kSimple, 1, &pool};
   std::vector<std::uint64_t> results(8, 0);
   parallel_for(0, results.size(), outer, [&](std::size_t i) {
     ForOptions inner{Partitioner::kAuto, 16, &pool};
-    results[i] = parallel_reduce_slots(
+    results[i] = parallel_reduce(
         0, 1000, std::uint64_t{0}, inner,
         [](std::size_t lo, std::size_t hi) {
           return static_cast<std::uint64_t>(hi - lo);
@@ -212,6 +182,86 @@ TEST(ParallelReduceSlots, NestedInsideParallelFor) {
         [](std::uint64_t a, std::uint64_t b) { return a + b; });
   });
   for (const std::uint64_t r : results) EXPECT_EQ(r, 1000u);
+}
+
+TEST(ParallelReduce, FoldsLeavesInRangeOrder) {
+  // A non-commutative combine (concatenation) sees the leaves left to
+  // right, however the pool scheduled them.
+  ThreadPool pool(4);
+  ForOptions opts{Partitioner::kSimple, 3, &pool};
+  const std::vector<std::size_t> got = parallel_reduce(
+      0, 1000, std::vector<std::size_t>{}, opts,
+      [](std::size_t lo, std::size_t hi) {
+        std::vector<std::size_t> v(hi - lo);
+        std::iota(v.begin(), v.end(), lo);
+        return v;
+      },
+      [](std::vector<std::size_t> a, const std::vector<std::size_t>& b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+      });
+  std::vector<std::size_t> want(1000);
+  std::iota(want.begin(), want.end(), std::size_t{0});
+  EXPECT_EQ(got, want);
+}
+
+TEST(ParallelReduce, LeavesAreParallelForRangeChunks) {
+  // Same options, same chunks: the reduce maps exactly the ranges the loop
+  // hands its body, including the single call on a 1-thread pool.
+  using Chunks = std::set<std::pair<std::size_t, std::size_t>>;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* const p : {&one, &four}) {
+    for (const auto partitioner :
+         {Partitioner::kAuto, Partitioner::kSimple, Partitioner::kStatic}) {
+      ForOptions opts{partitioner, 3, p};
+      std::mutex m;
+      Chunks loop;
+      parallel_for_range(5, 1005, opts, [&](std::size_t lo, std::size_t hi) {
+        std::lock_guard<std::mutex> lock(m);
+        loop.emplace(lo, hi);
+      });
+      Chunks reduce;
+      parallel_reduce(
+          5, 1005, 0, opts,
+          [&](std::size_t lo, std::size_t hi) {
+            std::lock_guard<std::mutex> lock(m);
+            reduce.emplace(lo, hi);
+            return 0;
+          },
+          [](int a, int b) { return a + b; });
+      EXPECT_EQ(reduce, loop)
+          << to_string(partitioner) << " on " << p->num_threads();
+      if (p == &one) {
+        EXPECT_EQ(reduce, (Chunks{{5, 1005}}));
+      }
+    }
+  }
+}
+
+TEST(ParallelReduce, FloatingPointResultIsReproducible) {
+  // Mixed magnitudes make the sum depend on association order, so any
+  // thread-dependent fold shows up as a second bit pattern.
+  constexpr std::size_t kN = 20000;
+  std::mt19937_64 rng(42);
+  std::uniform_real_distribution<double> mantissa(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-8, 8);
+  std::vector<double> values(kN);
+  for (double& v : values) v = mantissa(rng) * std::pow(10.0, exponent(rng));
+  ThreadPool pool(4);
+  ForOptions opts{Partitioner::kSimple, 64, &pool};
+  std::set<double> seen;
+  for (int rep = 0; rep < 200; ++rep) {
+    seen.insert(parallel_reduce(
+        0, kN, 0.0, opts,
+        [&](std::size_t lo, std::size_t hi) {
+          double s = 0.0;
+          for (std::size_t i = lo; i < hi; ++i) s += values[i];
+          return s;
+        },
+        [](double a, double b) { return a + b; }));
+  }
+  EXPECT_EQ(seen.size(), 1u);
 }
 
 TEST(TaskGroup, RunsAllTasks) {
