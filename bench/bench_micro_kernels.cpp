@@ -217,41 +217,6 @@ void BM_SpmmIteration16Compiled(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmIteration16Compiled);
 
-void BM_SpmmIteration128Compiled(benchmark::State& state) {
-  // Two-mask-word batch: exercises the multi-word sweep kernels (and the
-  // AVX2/AVX-512 dispatch) rather than the one-word degenerate layout.
-  // Its own window spec: the shared fixture caps at 64 windows, which
-  // would leave half a 128-lane batch empty.
-  const auto& f = MicroFixture::get();
-  const WindowSpec wide =
-      bench::last_windows(f.events, 90 * duration::kDay, 43'200, 128);
-  const MultiWindowSet wset = MultiWindowSet::build(f.events, wide, 1);
-  const auto& part = wset.part(0);
-  SpmmBatch batch;
-  batch.lanes = std::min<std::size_t>(128, part.num_windows);
-  batch.first_window = part.first_window;
-  batch.window_stride = 1;
-  SpmmWindowState ws;
-  CompiledBatchCsr compiled;
-  compile_spmm_batch(part, wide, batch, ws, compiled);
-  const std::size_t n = part.num_local();
-  std::vector<double> x(n * batch.lanes, 1.0 / static_cast<double>(n));
-  std::vector<double> scratch(n * batch.lanes);
-  PagerankParams params;
-  params.max_iters = 1;
-  params.tol = 0.0;
-  const obs::CounterSnapshot before = counters_before();
-  for (auto _ : state) {
-    pagerank_spmm(ws, compiled, x, scratch, params);
-    benchmark::DoNotOptimize(x[0]);
-  }
-  counters_after("BM_SpmmIteration128Compiled", state, before);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(part.num_events) *
-                          static_cast<std::int64_t>(batch.lanes));
-}
-BENCHMARK(BM_SpmmIteration128Compiled);
-
 void BM_SpmmCompile16(benchmark::State& state) {
   // The one-off cost the compiled iteration amortizes: building the
   // run-compressed adjacency + lane masks for a 16-lane batch.

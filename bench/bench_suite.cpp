@@ -53,9 +53,9 @@ SpmmBatch spmm16_batch(const MultiWindowGraph& part) {
 
 /// `count` windows with the same geometry as the 16-lane micro case
 /// (90-day delta, one-day slide, anchored at the end of the data) so
-/// ns_per_lane is comparable across batch widths. Used by the wide-sweep
-/// micro cases — the regular cases cap windows at --max-windows, which
-/// would leave most of a 512-lane batch empty.
+/// ns_per_lane is comparable across batch widths. Used by the 64-lane
+/// micro case — the regular cases cap windows at --max-windows, which
+/// could leave part of a 64-lane batch empty.
 WindowSpec wide_lane_spec(const TemporalEdgeList& events, std::size_t count) {
   return last_windows(events, 90 * duration::kDay, 86'400, count);
 }
@@ -240,41 +240,37 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- micro: wide SpMM sweeps (multi-word lane masks), ns/lane -------
+  // --- micro: full-word (64-lane) SpMM sweep, ns/lane ----------------
   {
     PagerankParams params;
     params.max_iters = 1;  // time exactly one traversal
     params.tol = 0.0;
-    // A 512-lane traversal does ~32x the work of the 16-lane case; fewer
+    // A 64-lane traversal does ~4x the work of the 16-lane case; fewer
     // timed iterations keep the suite fast while the min stays stable.
     const int iters =
         static_cast<int>(std::max<std::int64_t>(10, micro_iters / 8));
     const int warmup = std::max(1, iters / 10);
-    for (const std::size_t lanes :
-         {std::size_t{64}, std::size_t{128}, std::size_t{512}}) {
-      const WindowSpec wspec = wide_lane_spec(events, lanes);
-      const MultiWindowSet wset = MultiWindowSet::build(events, wspec, 1);
-      const MultiWindowGraph& part = wset.part(0);
-      SpmmBatch batch;
-      batch.lanes = lanes;
-      batch.first_window = part.first_window;
-      batch.window_stride = 1;
-      SpmmWindowState ws;
-      CompiledBatchCsr compiled;
-      compile_spmm_batch(part, wspec, batch, ws, compiled);
-      const std::size_t n = part.num_local();
-      std::vector<double> x(n * lanes, 1.0 / static_cast<double>(n));
-      std::vector<double> scratch(n * lanes);
-      const std::vector<double> times = time_repeats(
-          [&] { pagerank_spmm(ws, compiled, x, scratch, params); }, iters,
-          warmup);
-      const double ns =
-          *std::min_element(times.begin(), times.end()) * 1e9;
-      const std::string rec =
-          "micro.spmm" + std::to_string(lanes) + "_compiled";
-      emit(rec, "ns_per_iteration", ns);
-      emit(rec, "ns_per_lane", ns / static_cast<double>(lanes));
-    }
+    const std::size_t lanes = kMaxSpmmLanes;
+    const WindowSpec wspec = wide_lane_spec(events, lanes);
+    const MultiWindowSet wset = MultiWindowSet::build(events, wspec, 1);
+    const MultiWindowGraph& part = wset.part(0);
+    SpmmBatch batch;
+    batch.lanes = lanes;
+    batch.first_window = part.first_window;
+    batch.window_stride = 1;
+    SpmmWindowState ws;
+    CompiledBatchCsr compiled;
+    compile_spmm_batch(part, wspec, batch, ws, compiled);
+    const std::size_t n = part.num_local();
+    std::vector<double> x(n * lanes, 1.0 / static_cast<double>(n));
+    std::vector<double> scratch(n * lanes);
+    const std::vector<double> times = time_repeats(
+        [&] { pagerank_spmm(ws, compiled, x, scratch, params); }, iters,
+        warmup);
+    const double ns = *std::min_element(times.begin(), times.end()) * 1e9;
+    emit("micro.spmm64_compiled", "ns_per_iteration", ns);
+    emit("micro.spmm64_compiled", "ns_per_lane",
+         ns / static_cast<double>(lanes));
   }
 
   // --- io: chunked codec — compression ratio + decode throughput ------

@@ -26,7 +26,6 @@ required = [
     "BM_SpmvIterationCompiled",
     "BM_SpmmIteration16",
     "BM_SpmmIteration16Compiled",
-    "BM_SpmmIteration128Compiled",
 ]
 for name in required:
     assert name in data, f"missing record {name}"

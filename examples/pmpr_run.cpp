@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   Options opts("Run one execution model with telemetry enabled");
   opts.add("model", &model, "offline | streaming | postmortem");
   opts.add("max-lanes", &max_lanes,
-           "postmortem SpMM lane width/cap, 1..512 (0 = suggested config's "
+           "postmortem SpMM lane width/cap, 1..64 (0 = suggested config's "
            "width)");
   opts.add("simd", &simd,
            "auto | scalar | avx2 | avx512 — ISA for the compiled SpMM "
@@ -104,7 +104,9 @@ int main(int argc, char** argv) {
       max_lanes > static_cast<std::int64_t>(kMaxSpmmLanes)) {
     // Fail fast rather than letting the runner clamp: a silently narrowed
     // batch would make a mistyped width look like a perf regression.
-    std::fprintf(stderr, "--max-lanes %lld out of range [1, %zu]\n",
+    std::fprintf(stderr,
+                 "--max-lanes %lld out of range [0, %zu] (0 = suggested "
+                 "width)\n",
                  static_cast<long long>(max_lanes), kMaxSpmmLanes);
     return 1;
   }

@@ -63,11 +63,13 @@ struct PostmortemConfig {
   /// How windows are assigned to multi-window graphs (kBalancedEvents is
   /// the paper's future-work decomposition; see graph/multi_window.hpp).
   PartitionPolicy partition_policy = PartitionPolicy::kUniformWindows;
-  /// SpMM lanes ("vector length"; paper uses 8 or 16).
+  /// SpMM lanes ("vector length"; paper uses 8 or 16). A batch gets at
+  /// most min(vector_length, max_lanes, kMaxSpmmLanes = 64) lanes, and no
+  /// more than its part's window count.
   std::size_t vector_length = 16;
   /// Hard cap on SpMM lanes per batch, clamped to [1, kMaxSpmmLanes].
   /// vector_length asks for a width; max_lanes bounds what any batch may
-  /// actually get (the pre-PR 6 kernels were hard-clamped at 64).
+  /// actually get.
   std::size_t max_lanes = kMaxSpmmLanes;
   /// ISA override for the compiled SpMM sweeps (kAuto = best the CPU
   /// supports; forced modes are for differential testing / perf triage and

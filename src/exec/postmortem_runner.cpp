@@ -1,5 +1,6 @@
 #include "exec/postmortem_runner.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "pagerank/partial_init.hpp"
 #include "pagerank/spmm_temporal.hpp"
 #include "pagerank/spmv_temporal.hpp"
+#include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -40,9 +42,8 @@ struct ChainState {
   // Carry for partial initialization: result of the chain's previous item.
   std::vector<double> prev_x;
   std::vector<std::uint8_t> prev_active;      // SpMV
-  std::vector<std::uint64_t> prev_mask;       // SpMM, n * prev_words
+  std::vector<std::uint64_t> prev_mask;       // SpMM, one word per vertex
   std::size_t prev_lanes = 0;                 // SpMM
-  std::size_t prev_words = 1;                 // SpMM mask words
 };
 
 /// SpMM batch geometry for one part (§4.4): W windows are divided into
@@ -56,8 +57,7 @@ struct PartBatching {
 
 PartBatching batching_for(std::size_t num_windows, std::size_t vector_length,
                           std::size_t max_lanes) {
-  // The kernels handle up to kMaxSpmmLanes since the multi-word masks of
-  // PR 6; max_lanes is the config's own (tighter) cap.
+  // Both widths clamp to the kernels' one-word ceiling, kMaxSpmmLanes.
   const std::size_t cap =
       std::min(std::max<std::size_t>(max_lanes, 1), kMaxSpmmLanes);
   PartBatching b;
@@ -75,23 +75,19 @@ std::size_t lanes_of_batch(const PartBatching& b, std::size_t num_windows,
   return (num_windows - j - 1) / b.region + 1;
 }
 
-/// Eq. 4 for one SpMM lane over lane-interleaved storage. Masks are
-/// multi-word: prev_mask is n * prev_words, cur_mask n * cur_words.
+/// Eq. 4 for lane k over lane-interleaved storage: lane k of the current
+/// batch warm-starts from lane k of the previous one.
 void spmm_partial_init_lane(std::span<const double> prev_x,
-                            std::size_t prev_lanes, std::size_t prev_words,
-                            std::size_t kp,
+                            std::size_t prev_lanes,
                             std::span<const std::uint64_t> prev_mask,
                             std::span<double> cur_x, std::size_t cur_lanes,
-                            std::size_t cur_words, std::size_t k,
                             std::span<const std::uint64_t> cur_mask,
-                            std::size_t cur_num_active) {
-  const std::size_t n = cur_mask.size() / cur_words;
+                            std::size_t k, std::size_t cur_num_active) {
+  const std::size_t n = cur_mask.size();
   const auto prev_has = [&](std::size_t v) {
-    return mask_test(prev_mask.data() + v * prev_words, kp);
+    return mask_test(prev_mask[v], k);
   };
-  const auto cur_has = [&](std::size_t v) {
-    return mask_test(cur_mask.data() + v * cur_words, k);
-  };
+  const auto cur_has = [&](std::size_t v) { return mask_test(cur_mask[v], k); };
   if (cur_num_active == 0) {
     for (std::size_t v = 0; v < n; ++v) cur_x[v * cur_lanes + k] = 0.0;
     return;
@@ -101,7 +97,7 @@ void spmm_partial_init_lane(std::span<const double> prev_x,
   for (std::size_t v = 0; v < n; ++v) {
     if (prev_has(v) && cur_has(v)) {
       ++shared;
-      mass += prev_x[v * prev_lanes + kp];
+      mass += prev_x[v * prev_lanes + k];
     }
   }
   const double uniform = 1.0 / static_cast<double>(cur_num_active);
@@ -121,7 +117,7 @@ void spmm_partial_init_lane(std::span<const double> prev_x,
     if (!cur_has(v)) {
       cur_x[v * cur_lanes + k] = 0.0;
     } else if (prev_has(v)) {
-      cur_x[v * cur_lanes + k] = prev_x[v * prev_lanes + kp] * scale;
+      cur_x[v * cur_lanes + k] = prev_x[v * prev_lanes + k] * scale;
     } else {
       cur_x[v * cur_lanes + k] = uniform;
     }
@@ -267,13 +263,11 @@ class PostmortemDriver {
                          st.prev_x.size() == n * st.prev_lanes;
     {
       PMPR_PHASE("batch.init", obs::Phase::kInit, batch.first_window);
-      const std::size_t words = st.spmm_ws.mask_words;
       for (std::size_t k = 0; k < lanes; ++k) {
         if (partial) {
           // Lane k's window is the successor of the previous batch's lane k.
-          spmm_partial_init_lane(st.prev_x, st.prev_lanes, st.prev_words, k,
-                                 st.prev_mask, st.x, lanes, words, k,
-                                 st.spmm_ws.active_mask,
+          spmm_partial_init_lane(st.prev_x, st.prev_lanes, st.prev_mask,
+                                 st.x, lanes, st.spmm_ws.active_mask, k,
                                  st.spmm_ws.num_active[k]);
         } else {
           const double uniform =
@@ -282,7 +276,7 @@ class PostmortemDriver {
                   : 0.0;
           for (std::size_t v = 0; v < n; ++v) {
             st.x[v * lanes + k] =
-                mask_test(st.spmm_ws.mask_of(v), k) ? uniform : 0.0;
+                mask_test(st.spmm_ws.active_mask[v], k) ? uniform : 0.0;
           }
           obs::count(obs::Counter::kVerticesReseeded,
                      st.spmm_ws.num_active[k]);
@@ -318,7 +312,6 @@ class PostmortemDriver {
     st.prev_x.swap(st.x);
     st.prev_mask = st.spmm_ws.active_mask;  // copy; spmm_ws reused next item
     st.prev_lanes = lanes;
-    st.prev_words = st.spmm_ws.mask_words;
   }
 
   const MultiWindowSet* set_ = nullptr;
@@ -400,8 +393,9 @@ RunResult run_postmortem_prebuilt(const MultiWindowSet& set, ResultSink& sink,
           : (config.pool != nullptr ? config.pool->num_threads()
                                     : par::ThreadPool::global().num_threads()) +
                 1;
-  const std::size_t vlen =
-      config.kernel == KernelKind::kSpmm ? config.vector_length : 1;
+  const std::size_t vlen = config.kernel == KernelKind::kSpmm
+                               ? std::min(config.vector_length, kMaxSpmmLanes)
+                               : 1;
   const MemoryEstimate est = estimate_memory(set, vlen);
   result.representation_bytes = est.representation_bytes;
   finish_memory_accounting(mem_before, est.peak_bytes(kernel_contexts),

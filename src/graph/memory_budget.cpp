@@ -1,8 +1,7 @@
 #include "graph/memory_budget.hpp"
 
 #include <algorithm>
-
-#include "util/bits.hpp"
+#include <cstdint>
 
 namespace pmpr {
 
@@ -10,16 +9,15 @@ namespace {
 
 /// Working vectors per execution context for a part with `vertices` locals:
 /// x + scratch + prev_x (3 doubles) per lane, degrees (u32) per lane,
-/// activity mask (mask_words_for(lanes) u64 words), plus the batch-compiled
-/// adjacency (pagerank/batch_csr.hpp): row pointers, run-compressed
-/// neighbor + multi-word lane mask entries (bounded by the part's stored
-/// events — run compression and mask-0 dropping only shrink it), and the
-/// compacted active/dangling lists (dangling masks are also words-wide).
+/// activity mask (one u64 word), plus the batch-compiled adjacency
+/// (pagerank/batch_csr.hpp): row pointers, run-compressed neighbor + lane
+/// mask entries (bounded by the part's stored events — run compression and
+/// mask-0 dropping only shrink it), and the compacted active/dangling lists
+/// (dangling rows carry a mask word too).
 std::size_t working_bytes(std::size_t vertices, std::size_t events,
                           std::size_t vector_length) {
   const std::size_t lanes = std::max<std::size_t>(1, vector_length);
-  const std::size_t words = mask_words_for(lanes);
-  const std::size_t mask_bytes = words * sizeof(std::uint64_t);
+  const std::size_t mask_bytes = sizeof(std::uint64_t);
   const std::size_t vectors =
       vertices * (3 * sizeof(double) * lanes +
                   sizeof(std::uint32_t) * lanes + mask_bytes);

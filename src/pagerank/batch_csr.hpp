@@ -9,16 +9,16 @@
 // iterate — so it is hoisted into a one-time per-batch build:
 //
 //   * run compression: per row, only the *distinct* in-neighbors, each
-//     with a precomputed multi-word lane mask (runs whose mask is all-zero
-//     are dropped entirely), in a flat SoA layout (nbr[] / mask[]);
+//     with a precomputed lane mask word (runs whose mask is zero are
+//     dropped entirely), in a flat SoA layout (nbr[] / mask[]);
 //   * active-row compaction: sweeps iterate active_rows — rows active in
 //     at least one lane — instead of all n rows;
 //   * dangling compaction: the per-iteration dangling-mass scan reads the
 //     dangling_rows / dangling_mask lists (vertices dangling in at least
 //     one lane) instead of rescanning the n-by-lanes degree matrix.
 //
-// The SpMM inner loop then becomes: load u, load mask words, AND the live
-// mask, fused multiply-add per set bit — no timestamp arithmetic. The
+// The SpMM inner loop then becomes: load u, load the mask word, AND the
+// live mask, fused multiply-add per set bit — no timestamp arithmetic. The
 // kernels (scalar and the AVX2/AVX-512 sweeps of simd_sweep_*.cpp)
 // execute the exact floating-point operations of the direct traversal
 // with the same per-lane order, so results, residuals, and iteration
@@ -41,18 +41,15 @@ namespace pmpr {
 /// Compiled form of one SpMM batch over a part's local vertex space.
 struct CompiledBatchCsr {
   std::size_t lanes = 0;
-  /// Words per lane mask: mask_words_for(lanes) ∈ {1, 2, 4, 8}. Every mask
-  /// in this struct (entry masks, dangling masks) is this many words.
-  std::size_t mask_words = 1;
+  /// Words per lane mask. Every mask is one word (kMaxSpmmLanes = 64).
+  static constexpr std::size_t mask_words = 1;
 
-  /// n + 1 offsets into nbr (and, scaled by mask_words, into mask). A row
-  /// holds the distinct in-neighbors (ascending, inherited from the
-  /// temporal CSR's row order) whose run intersects at least one lane's
-  /// window.
+  /// n + 1 offsets into nbr and mask. A row holds the distinct
+  /// in-neighbors (ascending, inherited from the temporal CSR's row order)
+  /// whose run intersects at least one lane's window.
   std::vector<std::size_t> row_ptr;
   std::vector<VertexId> nbr;
-  /// mask_words words per nbr entry (entry i owns
-  /// mask[i*mask_words .. (i+1)*mask_words)); never all-zero.
+  /// Lane mask of each nbr entry; never zero.
   std::vector<std::uint64_t> mask;
 
   /// Rows v active in at least one lane, ascending. Sweeps visit only
@@ -60,8 +57,7 @@ struct CompiledBatchCsr {
   std::vector<VertexId> active_rows;
 
   /// Rows dangling (active with out-degree 0) in at least one lane,
-  /// ascending, with the multi-word mask of those lanes (mask_words words
-  /// per row).
+  /// ascending, with the mask of those lanes.
   std::vector<VertexId> dangling_rows;
   std::vector<std::uint64_t> dangling_mask;
 
@@ -71,15 +67,8 @@ struct CompiledBatchCsr {
   [[nodiscard]] std::span<const VertexId> row_nbr(VertexId v) const {
     return {nbr.data() + row_ptr[v], nbr.data() + row_ptr[v + 1]};
   }
-  /// All mask words of row v: (row_ptr[v+1] - row_ptr[v]) * mask_words
-  /// values, mask_words per entry.
   [[nodiscard]] std::span<const std::uint64_t> row_mask(VertexId v) const {
-    return {mask.data() + row_ptr[v] * mask_words,
-            mask.data() + row_ptr[v + 1] * mask_words};
-  }
-  /// Mask words of global entry i (an index into nbr).
-  [[nodiscard]] const std::uint64_t* entry_mask(std::size_t i) const {
-    return mask.data() + i * mask_words;
+    return {mask.data() + row_ptr[v], mask.data() + row_ptr[v + 1]};
   }
 
   /// Bytes held by the compiled form (reported through memory_budget so
@@ -108,10 +97,11 @@ struct CompiledBatchCsr {
 /// Compressed parts (part.is_compressed()) stream: the passes decode one
 /// chunk at a time into scratch — the raw CSR is never materialized — and
 /// skip chunks whose time extent misses the batch's lane windows
-/// (obs kChunksDecoded / kChunksPruned). The per-row arithmetic is shared
-/// with the raw path, so the compiled form and `state` are bit-identical.
-/// `scratch` (serial path only; the parallel path allocates per callback)
-/// lets callers reuse decode buffers across batches; null uses a local.
+/// (obs kChunksDecoded / kChunksPruned). Both storage kinds hand the same
+/// rows to the same per-row passes, so the compiled form and `state` are
+/// bit-identical. `scratch` (serial path only; the parallel path allocates
+/// per callback) lets callers reuse decode buffers across batches; null
+/// uses a local.
 void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
                         const SpmmBatch& batch, SpmmWindowState& state,
                         CompiledBatchCsr& out,

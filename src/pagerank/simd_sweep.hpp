@@ -1,4 +1,4 @@
-// Compiled SpMM sweep kernels, one per (mask word count, ISA).
+// Compiled SpMM sweep kernels, one per ISA.
 //
 // A sweep advances every live lane of rows active_rows[lo, hi) by one
 // power iteration over the batch-compiled adjacency. All implementations
@@ -10,10 +10,6 @@
 // multiply-add is an explicit fused multiply-add (std::fma / vfmadd) so
 // the contraction the vector kernels perform is also what the scalar and
 // reference kernels perform, independent of compiler flags.
-//
-// The word count W = mask_words_for(lanes) ∈ {1, 2, 4, 8} is a template
-// parameter of each kernel; select_spmm_sweep maps the runtime word count
-// and ISA to the right instantiation.
 #pragma once
 
 #include <cstddef>
@@ -28,29 +24,30 @@ namespace pmpr {
 /// One compiled sweep over active_rows[lo, hi).
 ///   x / x_next   n*lanes lane-interleaved current / next iterate
 ///   base         per-lane teleport + dangling base term (lanes doubles)
-///   live_mask    mask_words words of still-iterating lanes
+///   live_mask    still-iterating lanes
 ///   diff         per-lane L1 change accumulator (lanes doubles), added to
 /// Returns the number of compiled entries traversed (for the
 /// edges-traversed counter, flushed once per chunk by the caller).
-using SpmmSweepFn = std::uint64_t (*)(
-    const CompiledBatchCsr& compiled, const SpmmWindowState& state,
-    const double* x, double* x_next, const double* base,
-    double one_minus_alpha, const std::uint64_t* live_mask, double* diff,
-    std::size_t lo, std::size_t hi);
+using SpmmSweep = std::uint64_t(const CompiledBatchCsr& compiled,
+                                const SpmmWindowState& state,
+                                const double* x, double* x_next,
+                                const double* base, double one_minus_alpha,
+                                std::uint64_t live_mask, double* diff,
+                                std::size_t lo, std::size_t hi);
+using SpmmSweepFn = SpmmSweep*;
 
-/// Kernel for `mask_words` ∈ {1, 2, 4, 8} on `isa`. The caller resolves
-/// `isa` through resolve_simd first; asking for an ISA that is not built
-/// into the binary throws InvariantError.
-[[nodiscard]] SpmmSweepFn select_spmm_sweep(std::size_t mask_words,
-                                            SimdIsa isa);
+/// Kernel for `isa`. The caller resolves `isa` through resolve_simd first;
+/// asking for an ISA that is not built into the binary throws
+/// InvariantError.
+[[nodiscard]] SpmmSweepFn select_spmm_sweep(SimdIsa isa);
 
 namespace detail {
-// Per-ISA selection tables, defined in simd_sweep_{scalar,avx2,avx512}.cpp.
-// The wide TUs are compiled only when CMake found the -m flags; their
-// entries are referenced behind the matching PMPR_HAVE_*_SWEEP guards.
-SpmmSweepFn spmm_sweep_scalar(std::size_t mask_words);
-SpmmSweepFn spmm_sweep_avx2(std::size_t mask_words);
-SpmmSweepFn spmm_sweep_avx512(std::size_t mask_words);
+// Defined in simd_sweep_{scalar,avx2,avx512}.cpp. The wide TUs are
+// compiled only when CMake found the -m flags; their kernels are
+// referenced behind the matching PMPR_HAVE_*_SWEEP guards.
+SpmmSweep sweep_scalar;
+SpmmSweep sweep_avx2;
+SpmmSweep sweep_avx512;
 }  // namespace detail
 
 }  // namespace pmpr

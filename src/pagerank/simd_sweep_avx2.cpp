@@ -17,7 +17,6 @@
 
 #include "pagerank/simd_sweep.hpp"
 #include "util/bits.hpp"
-#include "util/check.hpp"
 
 namespace pmpr::detail {
 
@@ -78,12 +77,13 @@ inline __m128i group_mask_si32(unsigned nib) {
   return _mm_load_si128(reinterpret_cast<const __m128i*>(kGroupMask32[nib]));
 }
 
-template <std::size_t W>
+}  // namespace
+
 std::uint64_t sweep_avx2(const CompiledBatchCsr& compiled,
                          const SpmmWindowState& state, const double* x,
                          double* x_next, const double* base,
                          double one_minus_alpha,
-                         const std::uint64_t* live_mask, double* diff,
+                         std::uint64_t live_mask, double* diff,
                          std::size_t lo, std::size_t hi) {
   const std::size_t lanes = compiled.lanes;
   const std::uint32_t* deg = state.out_degree.data();
@@ -91,7 +91,7 @@ std::uint64_t sweep_avx2(const CompiledBatchCsr& compiled,
   const std::uint64_t* masks = compiled.mask.data();
   const __m256d omav = _mm256_set1_pd(one_minus_alpha);
   const __m256d signv = _mm256_set1_pd(-0.0);
-  alignas(64) double acc[W * kLanesPerMaskWord];
+  alignas(64) double acc[kMaxSpmmLanes];
   std::uint64_t edges = 0;
   for (std::size_t tile = lo; tile < hi; tile += kRowTile) {
     const std::size_t tile_hi = std::min(hi, tile + kRowTile);
@@ -101,16 +101,11 @@ std::uint64_t sweep_avx2(const CompiledBatchCsr& compiled,
     }
     for (std::size_t r = tile; r < tile_hi; ++r) {
       const VertexId v = compiled.active_rows[r];
-      const std::uint64_t* v_active = state.mask_of(v);
-      std::uint64_t v_update[W];
-      std::uint64_t any = 0;
-      for (std::size_t w = 0; w < W; ++w) {
-        v_update[w] = v_active[w] & live_mask[w];
-        any |= v_update[w];
-      }
+      const std::uint64_t v_active = state.active_mask[v];
+      const std::uint64_t v_update = v_active & live_mask;
       for (std::size_t k = 0; k < lanes; ++k) acc[k] = base[k];
 
-      if (any != 0) {
+      if (v_update != 0) {
         const std::size_t e_lo = compiled.row_ptr[v];
         const std::size_t e_hi = compiled.row_ptr[v + 1];
         edges += e_hi - e_lo;
@@ -123,43 +118,34 @@ std::uint64_t sweep_avx2(const CompiledBatchCsr& compiled,
           const std::size_t u = nbr[i];
           const double* xu = x + u * lanes;
           const std::uint32_t* du = deg + u * lanes;
-          for (std::size_t w = 0; w < W; ++w) {
-            std::uint64_t m = masks[i * W + w] & v_update[w];
-            while (m != 0) {
-              const std::size_t g = ctz64(m) >> 2;  // 4-lane group
-              const unsigned nib =
-                  static_cast<unsigned>(m >> (g * 4)) & 0xFU;
-              m &= ~(std::uint64_t{0xF} << (g * 4));
-              const std::size_t base_lane = w * kLanesPerMaskWord + g * 4;
-              const __m256i lane_si = group_mask_si(nib);
-              const __m256d xv =
-                  _mm256_maskload_pd(xu + base_lane, lane_si);
-              const __m128i dv32 = _mm_maskload_epi32(
-                  reinterpret_cast<const int*>(du + base_lane),
-                  group_mask_si32(nib));
-              // Signed cvt (AVX2 has no unsigned u32->f64): requires
-              // per-window degrees < 2^31, i.e. fewer than 2B events out
-              // of one vertex inside one window.
-              const __m256d dv = _mm256_cvtepi32_pd(dv32);
-              __m256d accv = _mm256_loadu_pd(acc + base_lane);
-              const __m256d contrib =
-                  _mm256_fmadd_pd(omav, _mm256_div_pd(xv, dv), accv);
-              accv = _mm256_blendv_pd(accv, contrib,
-                                      _mm256_castsi256_pd(lane_si));
-              _mm256_storeu_pd(acc + base_lane, accv);
-            }
+          std::uint64_t m = masks[i] & v_update;
+          while (m != 0) {
+            const std::size_t g = ctz64(m) >> 2;  // 4-lane group
+            const unsigned nib = static_cast<unsigned>(m >> (g * 4)) & 0xFU;
+            m &= ~(std::uint64_t{0xF} << (g * 4));
+            const std::size_t base_lane = g * 4;
+            const __m256i lane_si = group_mask_si(nib);
+            const __m256d xv = _mm256_maskload_pd(xu + base_lane, lane_si);
+            const __m128i dv32 = _mm_maskload_epi32(
+                reinterpret_cast<const int*>(du + base_lane),
+                group_mask_si32(nib));
+            // Signed cvt (AVX2 has no unsigned u32->f64): requires
+            // per-window degrees < 2^31, i.e. fewer than 2B events out of
+            // one vertex inside one window.
+            const __m256d dv = _mm256_cvtepi32_pd(dv32);
+            __m256d accv = _mm256_loadu_pd(acc + base_lane);
+            const __m256d contrib =
+                _mm256_fmadd_pd(omav, _mm256_div_pd(xv, dv), accv);
+            accv = _mm256_blendv_pd(accv, contrib,
+                                    _mm256_castsi256_pd(lane_si));
+            _mm256_storeu_pd(acc + base_lane, accv);
           }
         }
       }
 
       for (std::size_t k0 = 0; k0 < lanes; k0 += 4) {
-        const std::size_t w = k0 / kLanesPerMaskWord;
-        const unsigned shift =
-            static_cast<unsigned>(k0 % kLanesPerMaskWord);
-        const unsigned a_nib =
-            static_cast<unsigned>(v_active[w] >> shift) & 0xFU;
-        const unsigned l_nib =
-            static_cast<unsigned>(live_mask[w] >> shift) & 0xFU;
+        const unsigned a_nib = static_cast<unsigned>(v_active >> k0) & 0xFU;
+        const unsigned l_nib = static_cast<unsigned>(live_mask >> k0) & 0xFU;
         const unsigned al_nib = a_nib & l_nib;
         const std::size_t rem = lanes - k0;
         const unsigned valid_nib = rem >= 4 ? 0xFU : ((1U << rem) - 1U);
@@ -183,25 +169,6 @@ std::uint64_t sweep_avx2(const CompiledBatchCsr& compiled,
     }
   }
   return edges;
-}
-
-}  // namespace
-
-SpmmSweepFn spmm_sweep_avx2(std::size_t mask_words) {
-  switch (mask_words) {
-    case 1:
-      return sweep_avx2<1>;
-    case 2:
-      return sweep_avx2<2>;
-    case 4:
-      return sweep_avx2<4>;
-    case 8:
-      return sweep_avx2<8>;
-    default:
-      PMPR_CHECK_MSG(false, "mask_words " << mask_words
-                                          << " not in {1, 2, 4, 8}");
-      return nullptr;  // unreachable
-  }
 }
 
 }  // namespace pmpr::detail

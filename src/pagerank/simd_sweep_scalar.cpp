@@ -8,7 +8,6 @@
 
 #include "pagerank/simd_sweep.hpp"
 #include "util/bits.hpp"
-#include "util/check.hpp"
 
 namespace pmpr::detail {
 
@@ -25,18 +24,19 @@ constexpr std::size_t kPrefetchEntries = 8;
 /// x_next write-stream footprint.
 constexpr std::size_t kRowTile = 64;
 
-template <std::size_t W>
+}  // namespace
+
 std::uint64_t sweep_scalar(const CompiledBatchCsr& compiled,
                            const SpmmWindowState& state, const double* x,
                            double* x_next, const double* base,
                            double one_minus_alpha,
-                           const std::uint64_t* live_mask, double* diff,
+                           std::uint64_t live_mask, double* diff,
                            std::size_t lo, std::size_t hi) {
   const std::size_t lanes = compiled.lanes;
   const std::uint32_t* deg = state.out_degree.data();
   const VertexId* nbr = compiled.nbr.data();
   const std::uint64_t* masks = compiled.mask.data();
-  alignas(64) double acc[W * kLanesPerMaskWord];
+  alignas(64) double acc[kMaxSpmmLanes];
   std::uint64_t edges = 0;
   for (std::size_t tile = lo; tile < hi; tile += kRowTile) {
     const std::size_t tile_hi = std::min(hi, tile + kRowTile);
@@ -46,18 +46,13 @@ std::uint64_t sweep_scalar(const CompiledBatchCsr& compiled,
     }
     for (std::size_t r = tile; r < tile_hi; ++r) {
       const VertexId v = compiled.active_rows[r];
-      const std::uint64_t* v_active = state.mask_of(v);
-      std::uint64_t v_update[W];
-      std::uint64_t any = 0;
-      for (std::size_t w = 0; w < W; ++w) {
-        v_update[w] = v_active[w] & live_mask[w];
-        any |= v_update[w];
-      }
+      const std::uint64_t v_active = state.active_mask[v];
+      const std::uint64_t v_update = v_active & live_mask;
       // Frozen (converged) and inactive lanes keep their current value so
       // the buffers can be swapped; accumulate only for live active lanes.
       for (std::size_t k = 0; k < lanes; ++k) acc[k] = base[k];
 
-      if (any != 0) {
+      if (v_update != 0) {
         const std::size_t e_lo = compiled.row_ptr[v];
         const std::size_t e_hi = compiled.row_ptr[v + 1];
         edges += e_hi - e_lo;
@@ -70,14 +65,12 @@ std::uint64_t sweep_scalar(const CompiledBatchCsr& compiled,
           const std::size_t u = nbr[i];
           const double* xu = x + u * lanes;
           const std::uint32_t* du = deg + u * lanes;
-          for (std::size_t w = 0; w < W; ++w) {
-            std::uint64_t m = masks[i * W + w] & v_update[w];
-            while (m != 0) {
-              const std::size_t k = w * kLanesPerMaskWord + ctz64(m);
-              m &= m - 1;
-              acc[k] = std::fma(one_minus_alpha,
-                                xu[k] / static_cast<double>(du[k]), acc[k]);
-            }
+          std::uint64_t m = masks[i] & v_update;
+          while (m != 0) {
+            const std::size_t k = ctz64(m);
+            m &= m - 1;
+            acc[k] = std::fma(one_minus_alpha,
+                              xu[k] / static_cast<double>(du[k]), acc[k]);
           }
         }
       }
@@ -97,25 +90,6 @@ std::uint64_t sweep_scalar(const CompiledBatchCsr& compiled,
     }
   }
   return edges;
-}
-
-}  // namespace
-
-SpmmSweepFn spmm_sweep_scalar(std::size_t mask_words) {
-  switch (mask_words) {
-    case 1:
-      return sweep_scalar<1>;
-    case 2:
-      return sweep_scalar<2>;
-    case 4:
-      return sweep_scalar<4>;
-    case 8:
-      return sweep_scalar<8>;
-    default:
-      PMPR_CHECK_MSG(false, "mask_words " << mask_words
-                                          << " not in {1, 2, 4, 8}");
-      return nullptr;  // unreachable
-  }
 }
 
 }  // namespace pmpr::detail

@@ -1,25 +1,19 @@
 #include "pagerank/spmm_temporal.hpp"
 
-#include <array>
 #include <cassert>
 #include <cstring>
 #include <utility>
 
 #include "obs/counters.hpp"
 #include "pagerank/simd_sweep.hpp"
+#include "util/bits.hpp"
 #include "util/check.hpp"
 
 namespace pmpr {
 
 namespace {
 
-constexpr std::size_t kMaxMaskWords = mask_words_for(kMaxSpmmLanes);
-
-/// Stack-sized multi-word mask; only the first mask_words are used.
-using LiveMask = std::array<std::uint64_t, kMaxMaskWords>;
-
-/// Per-lane double accumulators, sized `lanes` at runtime (lane counts up
-/// to kMaxSpmmLanes made the old fixed std::array<double, 64> untenable).
+/// Per-lane double accumulators, sized `lanes` at runtime.
 using LaneVec = std::vector<double>;
 
 LaneVec add_lanes(LaneVec a, const LaneVec& b) {
@@ -32,20 +26,15 @@ LaneVec add_lanes(LaneVec a, const LaneVec& b) {
 /// nothing). Reads dangling-list indices [lo, hi).
 LaneVec dangling_scan_compiled(const CompiledBatchCsr& compiled,
                                const double* cur, std::size_t lanes,
-                               const std::uint64_t* live_mask, std::size_t lo,
+                               std::uint64_t live_mask, std::size_t lo,
                                std::size_t hi) {
   LaneVec dangling(lanes, 0.0);
-  const std::size_t words = compiled.mask_words;
   for (std::size_t i = lo; i < hi; ++i) {
     const VertexId v = compiled.dangling_rows[i];
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t m = compiled.dangling_mask[i * words + w] & live_mask[w];
-      while (m != 0) {
-        const std::size_t k = w * kLanesPerMaskWord + ctz64(m);
-        m &= m - 1;
-        dangling[k] += cur[v * lanes + k];
-      }
-    }
+    for_each_set_lane(compiled.dangling_mask[i] & live_mask,
+                      [&](std::size_t k) {
+                        dangling[k] += cur[v * lanes + k];
+                      });
   }
   obs::count(obs::Counter::kDanglingScanned, hi - lo);
   return dangling;
@@ -65,11 +54,9 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
                                      << kMaxSpmmLanes << "]");
   assert(x.size() == n * lanes && scratch.size() == n * lanes);
   assert(state.lanes == lanes);
-  assert(state.mask_words == compiled.mask_words);
-  const std::size_t words = compiled.mask_words;
 
   const SimdIsa isa = resolve_simd(simd);
-  const SpmmSweepFn sweep_fn = select_spmm_sweep(words, isa);
+  const SpmmSweepFn sweep_fn = select_spmm_sweep(isa);
   const obs::Counter isa_counter =
       isa == SimdIsa::kAvx512  ? obs::Counter::kSimdSweepAvx512
       : isa == SimdIsa::kAvx2 ? obs::Counter::kSimdSweepAvx2
@@ -92,10 +79,10 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
 
   SpmmStats stats;
   stats.lane_stats.assign(lanes, PagerankStats{});
-  LiveMask live{};
+  std::uint64_t live = 0;
   for (std::size_t k = 0; k < lanes; ++k) {
     if (state.num_active[k] > 0) {
-      mask_set(live.data(), k);
+      live |= lane_bit(k);
     } else {
       // Empty window: zero the lane and mark it converged immediately.
       for (std::size_t v = 0; v < n; ++v) x[v * lanes + k] = 0.0;
@@ -108,21 +95,20 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
   double* cur = x.data();
   double* next = scratch.data();
 
-  for (int iter = 0;
-       iter < params.max_iters && mask_any(live.data(), words); ++iter) {
+  for (int iter = 0; iter < params.max_iters && live != 0; ++iter) {
     LaneVec dangling(lanes, 0.0);
     if (params.redistribute_dangling) {
       if (parallel != nullptr) {
         dangling = par::parallel_reduce(
             0, dangling_rows, LaneVec(lanes, 0.0), *parallel,
             [&](std::size_t lo, std::size_t hi) {
-              return dangling_scan_compiled(compiled, cur, lanes, live.data(),
-                                            lo, hi);
+              return dangling_scan_compiled(compiled, cur, lanes, live, lo,
+                                            hi);
             },
             add_lanes);
       } else {
-        dangling = dangling_scan_compiled(compiled, cur, lanes, live.data(),
-                                          0, dangling_rows);
+        dangling = dangling_scan_compiled(compiled, cur, lanes, live, 0,
+                                          dangling_rows);
       }
     }
     LaneVec base(lanes, 0.0);
@@ -142,7 +128,7 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
             LaneVec local(lanes, 0.0);
             const std::uint64_t edges =
                 sweep_fn(compiled, state, cur, next, base.data(),
-                         one_minus_alpha, live.data(), local.data(), lo, hi);
+                         one_minus_alpha, live, local.data(), lo, hi);
             obs::count(obs::Counter::kEdgesTraversed, edges);
             return local;
           },
@@ -150,7 +136,7 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
     } else {
       const std::uint64_t edges =
           sweep_fn(compiled, state, cur, next, base.data(), one_minus_alpha,
-                   live.data(), diff.data(), 0, rows);
+                   live, diff.data(), 0, rows);
       obs::count(obs::Counter::kEdgesTraversed, edges);
     }
 
@@ -159,12 +145,12 @@ SpmmStats pagerank_spmm(const SpmmWindowState& state,
     const bool record_residuals = obs::metrics_enabled();
     std::uint64_t converged_this_iter = 0;
     for (std::size_t k = 0; k < lanes; ++k) {
-      if (!mask_test(live.data(), k)) continue;
+      if (!mask_test(live, k)) continue;
       stats.lane_stats[k].iterations = iter + 1;
       stats.lane_stats[k].final_residual = diff[k];
       if (record_residuals) stats.lane_stats[k].residuals.push_back(diff[k]);
       if (diff[k] < params.tol) {
-        mask_clear(live.data(), k);
+        live &= ~lane_bit(k);
         ++converged_this_iter;
       }
     }

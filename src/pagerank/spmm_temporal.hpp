@@ -1,12 +1,11 @@
 // SpMM-inspired postmortem PageRank kernel (paper §4.4).
 //
-// Computes PageRank for up to kMaxSpmmLanes (512) windows ("lanes") of the
-// same multi-window
-// graph simultaneously: each power iteration traverses the part's temporal
-// CSR once and advances every live lane's vector. The PageRank vectors are
-// lane-interleaved (x[v*lanes + k]), turning the mostly-random per-window
-// vector accesses into mostly-regular ones — the SpMM memory-traffic win
-// the paper borrows from linear algebra.
+// Computes PageRank for up to kMaxSpmmLanes (64) windows ("lanes") of the
+// same multi-window graph simultaneously: each power iteration traverses
+// the part's temporal CSR once and advances every live lane's vector. The
+// PageRank vectors are lane-interleaved (x[v*lanes + k]), turning the
+// mostly-random per-window vector accesses into mostly-regular ones — the
+// SpMM memory-traffic win the paper borrows from linear algebra.
 //
 // Lanes are strided windows (G_j, G_{j+R}, G_{j+2R}, ...): the batch after
 // this one holds each window's direct successor, so every batch but the

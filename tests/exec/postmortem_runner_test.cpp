@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
+#include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace pmpr {
@@ -170,6 +173,88 @@ TEST(PostmortemRunner, LargeVectorLengthClamped) {
     ASSERT_LT(test::linf_diff(sink.dense(w, events.num_vertices()), ref),
               1e-8);
   }
+}
+
+/// Stores every window like StoreAllSink and records the order in which
+/// windows reach the sink.
+class OrderSink final : public ResultSink {
+ public:
+  explicit OrderSink(std::size_t num_windows) : all(num_windows) {}
+
+  void consume_dense(std::size_t window,
+                     std::span<const double> pr) override {
+    order.push_back(window);
+    all.consume_dense(window, pr);
+  }
+  void consume_mapped(std::size_t window, std::span<const VertexId> ids,
+                      std::span<const double> pr) override {
+    order.push_back(window);
+    all.consume_mapped(window, ids, pr);
+  }
+
+  StoreAllSink all;
+  std::vector<std::size_t> order;
+};
+
+/// Lanes of the widest batch in one chain's sink order: a batch sinks its
+/// lanes' windows in ascending order, and the chain's next batch starts
+/// below the previous batch's last window.
+std::size_t widest_batch(const std::vector<std::size_t>& order) {
+  std::size_t widest = 0;
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    run = i > 0 && order[i] > order[i - 1] ? run + 1 : 1;
+    widest = std::max(widest, run);
+  }
+  return widest;
+}
+
+TEST(PostmortemRunner, LaneWidthAboveOneWordClampsTo64) {
+  // 201 windows in one part: an unclamped 512-lane request would run them
+  // as one 201-lane batch with no partial-init chain.
+  const TemporalEdgeList events = test::random_events(59, 40, 3000, 20000);
+  const WindowSpec spec = WindowSpec::cover(0, 20000, 4000, 80);
+  ASSERT_GT(spec.count, 128u);
+  constexpr std::size_t kWord = 64;
+  par::ThreadPool pool(2);
+  PostmortemConfig cfg = base_config();
+  cfg.kernel = KernelKind::kSpmm;
+  cfg.num_multi_windows = 1;
+  cfg.pool = &pool;
+
+  cfg.vector_length = 512;
+  cfg.max_lanes = 512;
+  OrderSink wide(spec.count);
+  run_postmortem(events, spec, wide, cfg);
+  cfg.vector_length = kWord;
+  cfg.max_lanes = kWord;
+  OrderSink word(spec.count);
+  run_postmortem(events, spec, word, cfg);
+
+  EXPECT_LE(widest_batch(wide.order), kWord);
+  EXPECT_EQ(wide.order, word.order);
+  for (std::size_t w = 0; w < spec.count; ++w) {
+    ASSERT_EQ(wide.all.window(w), word.all.window(w)) << "window " << w;
+  }
+}
+
+TEST(PostmortemRunner, MemoryEstimateUsesClampedLaneWidth) {
+  // The estimate sizes lane-interleaved SpMM buffers by the batch width,
+  // so a vector_length above the one-word cap must be costed as 64 lanes.
+  const TemporalEdgeList events = test::random_events(61, 40, 3000, 20000);
+  const WindowSpec spec = WindowSpec::cover(0, 20000, 4000, 80);
+  PostmortemConfig cfg = base_config();
+  cfg.kernel = KernelKind::kSpmm;
+  cfg.num_multi_windows = 1;
+  cfg.max_lanes = 512;
+  cfg.vector_length = 512;
+  ChecksumSink wide_sink(spec.count);
+  const RunResult wide = run_postmortem(events, spec, wide_sink, cfg);
+  cfg.vector_length = kMaxSpmmLanes;
+  ChecksumSink word_sink(spec.count);
+  const RunResult word = run_postmortem(events, spec, word_sink, cfg);
+  EXPECT_GT(word.peak_memory_estimate_bytes, 0u);
+  EXPECT_EQ(wide.peak_memory_estimate_bytes, word.peak_memory_estimate_bytes);
 }
 
 TEST(PostmortemRunner, ChecksumSinkMatchesStoreAll) {

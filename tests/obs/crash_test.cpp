@@ -10,6 +10,7 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
 #include <unistd.h>
 #endif
 
@@ -92,8 +93,12 @@ TEST(CrashHandlerDeathTest, SegvLeavesReportAndReRaises) {
         if (!obs::install_crash_handler(opts)) _exit(3);
         obs::set_flight_recorder_enabled(true);
         obs::fr_record(obs::FrEvent::kMark, "crash.test.breadcrumb", 11);
-        volatile int* null_ptr = nullptr;
-        (void)*null_ptr;
+        // A load from a PROT_NONE page: a real SIGSEGV that is not UB, so
+        // UBSan (halt_on_error) cannot stop the child before the signal.
+        void* page = ::mmap(nullptr, 4096, PROT_NONE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (page == MAP_FAILED) _exit(5);
+        (void)*static_cast<volatile int*>(page);
         _exit(4);  // unreachable: the re-raised SIGSEGV kills the child
       },
       ::testing::KilledBySignal(SIGSEGV), "");

@@ -1,7 +1,6 @@
 #include "oracle/reference_kernels.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -16,9 +15,8 @@ namespace pmpr::oracle {
 
 namespace {
 
-/// Max-width lane mask on the stack; only the first mask_words_for(lanes)
-/// words are touched.
-using LaneMask = std::array<std::uint64_t, mask_words_for(kMaxSpmmLanes)>;
+/// Lane mask: bit k names lane k of the batch.
+using LaneMask = std::uint64_t;
 
 void check_lanes(std::size_t lanes) {
   PMPR_CHECK_MSG(lanes >= 1 && lanes <= kMaxSpmmLanes,
@@ -37,21 +35,13 @@ void check_raw(const MultiWindowGraph& part) {
 LaneMask run_lanes(const WindowSpec& spec, const SpmmBatch& batch,
                    std::span<const VertexId> cols,
                    std::span<const Timestamp> times, std::size_t& i) {
-  LaneMask mask{};
+  LaneMask mask = 0;
   const VertexId u = cols[i];
   while (i < cols.size() && cols[i] == u) {
-    lanes_containing_into(spec, batch, times[i], mask.data());
+    mask |= lanes_containing(spec, batch, times[i]);
     ++i;
   }
   return mask;
-}
-
-/// Lanes set in both multi-word masks.
-LaneMask lanes_and(const std::uint64_t* a, const std::uint64_t* b,
-                   std::size_t words) {
-  LaneMask out{};
-  for (std::size_t w = 0; w < words; ++w) out[w] = a[w] & b[w];
-  return out;
 }
 
 }  // namespace
@@ -81,7 +71,6 @@ void compute_spmm_state(const MultiWindowGraph& part, const WindowSpec& spec,
   const std::size_t n = part.num_local();
   const std::size_t lanes = batch.lanes;
   out.resize(n, lanes);
-  const std::size_t words = out.mask_words;
   for (std::size_t v = 0; v < n; ++v) {
     const auto cols = part.in.row_cols(static_cast<VertexId>(v));
     const auto times = part.in.row_times(static_cast<VertexId>(v));
@@ -91,17 +80,15 @@ void compute_spmm_state(const MultiWindowGraph& part, const WindowSpec& spec,
       const LaneMask run = run_lanes(spec, batch, cols, times, i);
       // u gains one distinct out-neighbor in every lane of the run; both
       // endpoints are active there.
-      for_each_set_lane(run.data(), words, [&](std::size_t k) {
+      for_each_set_lane(run, [&](std::size_t k) {
         ++out.out_degree[u * lanes + k];
       });
-      for (std::size_t w = 0; w < words; ++w) {
-        out.active_mask[u * words + w] |= run[w];
-        out.active_mask[v * words + w] |= run[w];
-      }
+      out.active_mask[u] |= run;
+      out.active_mask[v] |= run;
     }
   }
   for (std::size_t v = 0; v < n; ++v) {
-    for_each_set_lane(out.mask_of(v), words,
+    for_each_set_lane(out.active_mask[v],
                       [&](std::size_t k) { ++out.num_active[k]; });
   }
 }
@@ -178,14 +165,13 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
   const std::size_t n = part.num_local();
   assert(x.size() == n * lanes && scratch.size() == n * lanes);
   assert(state.lanes == lanes);
-  const std::size_t words = state.mask_words;
 
   SpmmStats stats;
   stats.lane_stats.assign(lanes, PagerankStats{});
-  LaneMask live{};
+  LaneMask live = 0;
   for (std::size_t k = 0; k < lanes; ++k) {
     if (state.num_active[k] > 0) {
-      mask_set(live.data(), k);
+      live |= lane_bit(k);
     } else {
       // Empty window: zero the lane and mark it converged immediately.
       for (std::size_t v = 0; v < n; ++v) x[v * lanes + k] = 0.0;
@@ -200,13 +186,11 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
   std::vector<double> diff(lanes);
   std::vector<double> acc(lanes);
 
-  for (int iter = 0; iter < params.max_iters && mask_any(live.data(), words);
-       ++iter) {
+  for (int iter = 0; iter < params.max_iters && live != 0; ++iter) {
     std::fill(dangling.begin(), dangling.end(), 0.0);
     if (params.redistribute_dangling) {
       for (std::size_t v = 0; v < n; ++v) {
-        const LaneMask m = lanes_and(state.mask_of(v), live.data(), words);
-        for_each_set_lane(m.data(), words, [&](std::size_t k) {
+        for_each_set_lane(state.active_mask[v] & live, [&](std::size_t k) {
           if (state.out_degree[v * lanes + k] == 0) {
             dangling[k] += cur[v * lanes + k];
           }
@@ -228,10 +212,10 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
     std::fill(diff.begin(), diff.end(), 0.0);
     std::uint64_t edges = 0;
     for (std::size_t v = 0; v < n; ++v) {
-      const std::uint64_t* v_active = state.mask_of(v);
-      const LaneMask v_live = lanes_and(v_active, live.data(), words);
+      const LaneMask v_active = state.active_mask[v];
+      const LaneMask v_live = v_active & live;
       std::copy(base.begin(), base.end(), acc.begin());
-      if (mask_any(v_live.data(), words)) {
+      if (v_live != 0) {
         const auto cols = part.in.row_cols(static_cast<VertexId>(v));
         const auto times = part.in.row_times(static_cast<VertexId>(v));
         edges += cols.size();
@@ -239,8 +223,7 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
         while (i < cols.size()) {
           const VertexId u = cols[i];
           const LaneMask run = run_lanes(spec, batch, cols, times, i);
-          const LaneMask m = lanes_and(run.data(), v_live.data(), words);
-          for_each_set_lane(m.data(), words, [&](std::size_t k) {
+          for_each_set_lane(run & v_live, [&](std::size_t k) {
             acc[k] = std::fma(
                 one_minus_alpha,
                 cur[u * lanes + k] /
@@ -253,7 +236,7 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
         const double value = cur[v * lanes + k];
         if (!mask_test(v_active, k)) {
           next[v * lanes + k] = 0.0;
-        } else if (!mask_test(live.data(), k)) {
+        } else if (!mask_test(live, k)) {
           next[v * lanes + k] = value;  // frozen lane
         } else {
           diff[k] += std::abs(acc[k] - value);
@@ -267,14 +250,14 @@ SpmmStats pagerank_spmm(const MultiWindowGraph& part, const WindowSpec& spec,
     stats.iterations = iter + 1;
     std::uint64_t converged_this_iter = 0;
     for (std::size_t k = 0; k < lanes; ++k) {
-      if (!mask_test(live.data(), k)) continue;
+      if (!mask_test(live, k)) continue;
       stats.lane_stats[k].iterations = iter + 1;
       stats.lane_stats[k].final_residual = diff[k];
       if (obs::metrics_enabled()) {
         stats.lane_stats[k].residuals.push_back(diff[k]);
       }
       if (diff[k] < params.tol) {
-        mask_clear(live.data(), k);
+        live &= ~lane_bit(k);
         ++converged_this_iter;
       }
     }

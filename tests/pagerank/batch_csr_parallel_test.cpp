@@ -1,10 +1,10 @@
 // Parallel-compile race coverage for the two-pass count/prefix/fill build
 // in batch_csr.cpp. These tests exist primarily to run under
 // ThreadSanitizer — they are registered as their own ctest binary so
-// ci/sanitize.sh's TSan pass picks them up by label. The atomicity contract they exercise is documented at the top of
-// count_and_scatter_rows: row_ptr[v+1] is row-owned (plain stores in both
-// paths); out_degree and active_mask are cross-row scatters and use
-// std::atomic_ref in the parallel path only.
+// ci/sanitize.sh's TSan pass picks them up by label. The atomicity
+// contract they exercise is documented at scatter_row: row_ptr[v+1] is
+// row-owned (plain stores in both walks); out_degree and active_mask are
+// cross-row scatters and use std::atomic_ref in the parallel walk only.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,11 +32,9 @@ Built build(const MultiWindowGraph& part, const WindowSpec& spec,
 
 void expect_equal(const Built& ref, const Built& par) {
   EXPECT_EQ(ref.state.lanes, par.state.lanes);
-  EXPECT_EQ(ref.state.mask_words, par.state.mask_words);
   EXPECT_EQ(ref.state.out_degree, par.state.out_degree);
   EXPECT_EQ(ref.state.active_mask, par.state.active_mask);
   EXPECT_EQ(ref.state.num_active, par.state.num_active);
-  EXPECT_EQ(ref.compiled.mask_words, par.compiled.mask_words);
   EXPECT_EQ(ref.compiled.row_ptr, par.compiled.row_ptr);
   EXPECT_EQ(ref.compiled.nbr, par.compiled.nbr);
   EXPECT_EQ(ref.compiled.mask, par.compiled.mask);
@@ -45,7 +43,7 @@ void expect_equal(const Built& ref, const Built& par) {
   EXPECT_EQ(ref.compiled.dangling_mask, par.compiled.dangling_mask);
 }
 
-TEST(BatchCsrParallel, CompileMatchesSerialAcrossWordCounts) {
+TEST(BatchCsrParallel, CompileMatchesSerialAcrossLaneCounts) {
   const TemporalEdgeList events = test::random_events(7001, 60, 4000, 50000);
   const WindowSpec spec{.t0 = 0, .delta = 6000, .sw = 45, .count = 1100};
   const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
@@ -53,9 +51,8 @@ TEST(BatchCsrParallel, CompileMatchesSerialAcrossWordCounts) {
   // Fine grain to force many chunks (and thus real concurrency under
   // TSan) even on small row counts.
   par::ForOptions opts{par::Partitioner::kSimple, 1, nullptr};
-  for (const std::size_t lanes : {std::size_t{16}, std::size_t{64},
-                                  std::size_t{65}, std::size_t{192},
-                                  std::size_t{512}}) {
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{16},
+                                  std::size_t{33}, kMaxSpmmLanes}) {
     SpmmBatch batch;
     batch.lanes = lanes;
     batch.first_window = 0;
@@ -67,15 +64,15 @@ TEST(BatchCsrParallel, CompileMatchesSerialAcrossWordCounts) {
 }
 
 // The parallel compile's per-lane state against the serial reference
-// scatter, at a lane count (300) outside the power-of-two sweep above.
+// scatter, at a lane count (45) outside the sweep above.
 TEST(BatchCsrParallel, ComputeSpmmStateMatchesSerial) {
   const TemporalEdgeList events = test::random_events(7102, 40, 3000, 20000);
-  const WindowSpec spec{.t0 = 0, .delta = 2500, .sw = 60, .count = 300};
+  const WindowSpec spec{.t0 = 0, .delta = 2500, .sw = 60, .count = 45};
   const MultiWindowSet set = MultiWindowSet::build(events, spec, 1);
   const auto& part = set.part(0);
   par::ForOptions opts{par::Partitioner::kSimple, 1, nullptr};
   SpmmBatch batch;
-  batch.lanes = 300;
+  batch.lanes = 45;
   batch.first_window = 0;
   batch.window_stride = 1;
   SpmmWindowState ref;
@@ -93,7 +90,7 @@ TEST(BatchCsrParallel, RepeatedParallelCompilesAreDeterministic) {
   const auto& part = set.part(0);
   par::ForOptions opts{par::Partitioner::kAuto, 2, nullptr};
   SpmmBatch batch;
-  batch.lanes = 120;
+  batch.lanes = kMaxSpmmLanes;
   batch.first_window = 0;
   batch.window_stride = 1;
   const Built first = build(part, spec, batch, &opts);

@@ -38,11 +38,16 @@ struct Fixture {
         set(MultiWindowSet::build(events, spec, 1)) {}
 };
 
-/// Enough heavily-overlapping windows that every lane of a 512-wide batch
+/// Enough heavily-overlapping windows that every lane of a 64-wide batch
 /// at stride 2 maps to a real (event-carrying) window.
 WindowSpec wide_spec() {
-  return WindowSpec{.t0 = 0, .delta = 6000, .sw = 45, .count = 1100};
+  return WindowSpec{.t0 = 0, .delta = 6000, .sw = 45, .count = 200};
 }
+
+/// Lane counts on both sides of every AVX2 (4-lane) and AVX-512 (8-lane)
+/// group edge and of the 32-lane half word, up to the full mask word.
+constexpr std::size_t kLaneEdges[] = {1,  3,  4,  5,  7,  8,
+                                      9,  31, 32, 33, 63, 64};
 
 PagerankParams params_with(bool dangling) {
   PagerankParams p;
@@ -62,7 +67,7 @@ std::vector<double> init_x(const SpmmWindowState& state, std::size_t n) {
             : 0.0;
     for (std::size_t v = 0; v < n; ++v) {
       x[v * state.lanes + k] =
-          mask_test(state.mask_of(v), k) ? uniform : 0.0;
+          mask_test(state.active_mask[v], k) ? uniform : 0.0;
     }
   }
   return x;
@@ -225,16 +230,11 @@ TEST(CompiledSpmv, ParallelMatchesReference) {
   EXPECT_LT(linf, 1e-12);
 }
 
-// Wide batches: every mask-word count {1, 2, 4, 8}, both word-boundary
-// sides (63/64/65, 127/128), a non-power-of-two interior point (192), and
-// the clamp edge (511/512). Serial compiled runs must be bit-identical to
-// the reference kernel in all of them.
-TEST(CompiledSpmm, WideLanesSerialBitIdentical) {
+// Every lane-group edge up to the full 64-lane word. Serial compiled runs
+// must be bit-identical to the reference kernel in all of them.
+TEST(CompiledSpmm, LaneGroupEdgesSerialBitIdentical) {
   const Fixture f(2101, wide_spec());
-  for (const std::size_t lanes :
-       {std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{127},
-        std::size_t{128}, std::size_t{192}, std::size_t{511},
-        std::size_t{512}}) {
+  for (const std::size_t lanes : kLaneEdges) {
     for (const std::size_t stride : {std::size_t{1}, std::size_t{2}}) {
       for (const bool dangling : {true, false}) {
         SpmmBatch batch;
@@ -252,10 +252,10 @@ TEST(CompiledSpmm, WideLanesSerialBitIdentical) {
   }
 }
 
-TEST(CompiledSpmm, WideLanesParallelMatchesReference) {
+TEST(CompiledSpmm, FullWordParallelMatchesReference) {
   const Fixture f(2202, wide_spec());
   par::ForOptions opts{par::Partitioner::kAuto, 4, nullptr};
-  for (const std::size_t lanes : {std::size_t{128}, std::size_t{512}}) {
+  for (const std::size_t lanes : {std::size_t{33}, kMaxSpmmLanes}) {
     SpmmBatch batch;
     batch.lanes = lanes;
     batch.first_window = 0;
@@ -276,17 +276,15 @@ TEST(CompiledSpmm, WideLanesParallelMatchesReference) {
 /// Forced-ISA differential: each vector kernel must produce exactly the
 /// scalar kernel's bits (all sweeps perform the same per-lane FP ops in
 /// the same order; cross-lane vectorization touches independent
-/// accumulators). Parameterized over lane counts so every mask-word
-/// template instantiation of every ISA is exercised.
+/// accumulators). Run over every lane-group edge so each ISA's partial and
+/// full groups are exercised.
 void expect_isa_matches_scalar(SimdIsa isa, SimdMode mode) {
   if (!simd_isa_supported(isa)) {
     GTEST_SKIP() << to_string(isa)
                  << " not built or not supported on this host";
   }
   const Fixture f(2303, wide_spec());
-  for (const std::size_t lanes : {std::size_t{5}, std::size_t{64},
-                                  std::size_t{65}, std::size_t{192},
-                                  std::size_t{512}}) {
+  for (const std::size_t lanes : kLaneEdges) {
     for (const bool dangling : {true, false}) {
       SpmmBatch batch;
       batch.lanes = lanes;
@@ -313,7 +311,7 @@ TEST(CompiledSpmmDispatch, Avx512BitIdenticalToScalar) {
 TEST(CompiledSpmmDispatch, AutoBitIdenticalToScalarSerial) {
   const Fixture f(2404, wide_spec());
   SpmmBatch batch;
-  batch.lanes = 96;
+  batch.lanes = 48;
   batch.first_window = 3;
   batch.window_stride = 2;
   const SpmmRun scalar =
@@ -323,10 +321,10 @@ TEST(CompiledSpmmDispatch, AutoBitIdenticalToScalarSerial) {
   expect_stats_equal(scalar.stats, any.stats);
 }
 
-// The pre-PR 6 kernels clamped batches at 64 lanes with a debug-only
-// assert: a release build fed lanes > 64 shifted a uint64_t by >= 64 (UB)
-// and scribbled whatever the hardware returned into the masks. The bound
-// is now a release-mode invariant on every entry point.
+// A batch wider than one mask word would shift a uint64_t by >= 64 (UB)
+// and scribble whatever the hardware returned into the masks, so the bound
+// is a release-mode invariant on every entry point. kMaxSpmmLanes + 1 is
+// the first lane count past the word.
 TEST(CompiledSpmm, MalformedLaneCountsThrow) {
   const Fixture f(2505);
   const auto& part = f.set.part(0);

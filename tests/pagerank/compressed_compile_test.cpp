@@ -43,7 +43,6 @@ SpmmBatch batch_for(const WindowSpec& spec, std::size_t lanes,
 
 void expect_same_batch(const CompiledBatchCsr& a, const CompiledBatchCsr& b) {
   EXPECT_EQ(a.lanes, b.lanes);
-  EXPECT_EQ(a.mask_words, b.mask_words);
   EXPECT_EQ(a.row_ptr, b.row_ptr);
   EXPECT_EQ(a.nbr, b.nbr);
   EXPECT_EQ(a.mask, b.mask);
@@ -130,6 +129,63 @@ TEST(CompressedCompile, WindowCompileBitIdenticalToRaw) {
       EXPECT_EQ(state.num_active, ref_state.num_active) << "window " << w;
     }
   }
+}
+
+TEST(CompressedCompile, WindowCompileParallelMatchesSerial) {
+  const Fixture f(808, /*chunk_entries=*/64);
+  const auto& part = f.packed.part(0);
+  par::ForOptions par_opts;
+  for (std::size_t w = part.first_window;
+       w < part.first_window + part.num_windows; ++w) {
+    WindowState ref_state;
+    CompiledWindowCsr ref;
+    compile_window(part, f.spec.start(w), f.spec.end(w), ref_state, ref);
+    WindowState state;
+    CompiledWindowCsr compiled;
+    compile_window(part, f.spec.start(w), f.spec.end(w), state, compiled,
+                   &par_opts);
+    EXPECT_EQ(compiled.row_ptr, ref.row_ptr) << "window " << w;
+    EXPECT_EQ(compiled.nbr, ref.nbr) << "window " << w;
+    EXPECT_EQ(compiled.active_rows, ref.active_rows) << "window " << w;
+    EXPECT_EQ(compiled.dangling_rows, ref.dangling_rows) << "window " << w;
+    EXPECT_EQ(state.out_degree, ref_state.out_degree) << "window " << w;
+    EXPECT_EQ(state.active, ref_state.active) << "window " << w;
+    EXPECT_EQ(state.num_active, ref_state.num_active) << "window " << w;
+  }
+}
+
+TEST(CompressedCompile, ChunkTalliesSameSerialAndParallel) {
+  // The parallel walk counts per chunk range, the serial one once: the
+  // decoded / pruned / byte totals must not depend on the split.
+  const Fixture f(1111, /*chunk_entries=*/32);
+  const auto& part = f.packed.part(0);
+  const SpmmBatch batch = batch_for(f.spec, 4, part.first_window, 1);
+  obs::set_counters_enabled(true);
+  const auto tallies = [&](const par::ForOptions* opts) {
+    const obs::CounterSnapshot before = obs::counters_snapshot();
+    SpmmWindowState spmm_state;
+    CompiledBatchCsr spmm;
+    compile_spmm_batch(part, f.spec, batch, spmm_state, spmm, opts);
+    WindowState state;
+    CompiledWindowCsr compiled;
+    compile_window(part, f.spec.start(part.first_window),
+                   f.spec.end(part.first_window), state, compiled, opts);
+    return obs::counters_snapshot().delta_since(before);
+  };
+  const obs::CounterSnapshot serial = tallies(nullptr);
+  const par::ForOptions par_opts;
+  const obs::CounterSnapshot parallel = tallies(&par_opts);
+  for (const obs::Counter c :
+       {obs::Counter::kChunksDecoded, obs::Counter::kChunksPruned,
+        obs::Counter::kBytesDecoded}) {
+    EXPECT_EQ(parallel[c], serial[c]) << static_cast<int>(c);
+  }
+  EXPECT_GT(serial[obs::Counter::kChunksDecoded], 0u);
+  EXPECT_GT(serial[obs::Counter::kBytesDecoded], 0u);
+  // Every pass visits every chunk once, decoded or pruned.
+  const std::uint64_t visited = serial[obs::Counter::kChunksDecoded] +
+                                serial[obs::Counter::kChunksPruned];
+  EXPECT_EQ(visited % part.in_compressed->num_chunks(), 0u);
 }
 
 TEST(CompressedCompile, PrunesChunksOutsideTheWindow) {

@@ -91,7 +91,7 @@ TEST(LanesContaining, MatchesBruteForceSweep) {
 
     SpmmBatch batch;
     batch.window_stride = 1 + rng.bounded(8);
-    batch.lanes = 1 + rng.bounded(16);
+    batch.lanes = 1 + rng.bounded(kMaxSpmmLanes);
     batch.first_window = rng.bounded(8);
 
     for (int probe = 0; probe < 40; ++probe) {

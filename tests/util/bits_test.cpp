@@ -1,11 +1,10 @@
-// util/bits.hpp: the multi-word lane-mask primitives underneath the SpMM
+// util/bits.hpp: the one-word lane-mask primitives underneath the SpMM
 // batch kernels. These are all constexpr, so a good chunk of the contract
 // is enforced at compile time via static_assert.
 #include "util/bits.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -20,93 +19,32 @@ TEST(Bits, Ctz64) {
   static_assert(ctz64(std::uint64_t{1} << 17) == 17);
 }
 
-TEST(Bits, MaskWordsForRoundsToPowerOfTwoWordCounts) {
-  // The sweep kernels are instantiated for {1, 2, 4, 8} words only, so
-  // word counts round up to the next power of two.
-  EXPECT_EQ(mask_words_for(1), 1u);
-  EXPECT_EQ(mask_words_for(63), 1u);
-  EXPECT_EQ(mask_words_for(64), 1u);
-  EXPECT_EQ(mask_words_for(65), 2u);
-  EXPECT_EQ(mask_words_for(128), 2u);
-  EXPECT_EQ(mask_words_for(129), 4u);
-  EXPECT_EQ(mask_words_for(192), 4u);
-  EXPECT_EQ(mask_words_for(256), 4u);
-  EXPECT_EQ(mask_words_for(257), 8u);
-  EXPECT_EQ(mask_words_for(512), 8u);
-  // Degenerate input: zero lanes still gets one word.
-  EXPECT_EQ(mask_words_for(0), 1u);
-}
-
-TEST(Bits, SetTestClearAcrossWords) {
-  std::array<std::uint64_t, 8> words{};
-  for (const std::size_t lane : {std::size_t{0}, std::size_t{63},
-                                 std::size_t{64}, std::size_t{127},
-                                 std::size_t{200}, std::size_t{511}}) {
-    EXPECT_FALSE(mask_test(words.data(), lane)) << lane;
-    mask_set(words.data(), lane);
-    EXPECT_TRUE(mask_test(words.data(), lane)) << lane;
+TEST(Bits, LaneBitAndMaskTest) {
+  std::uint64_t mask = 0;
+  for (const std::size_t lane :
+       {std::size_t{0}, std::size_t{31}, std::size_t{32}, std::size_t{63}}) {
+    EXPECT_FALSE(mask_test(mask, lane)) << lane;
+    mask |= lane_bit(lane);
+    EXPECT_TRUE(mask_test(mask, lane)) << lane;
   }
-  EXPECT_EQ(words[0], (std::uint64_t{1} << 0) | (std::uint64_t{1} << 63));
-  EXPECT_EQ(words[1], (std::uint64_t{1} << 0) | (std::uint64_t{1} << 63));
-  mask_clear(words.data(), 63);
-  EXPECT_FALSE(mask_test(words.data(), 63));
-  EXPECT_TRUE(mask_test(words.data(), 64));
-}
-
-TEST(Bits, MaskAny) {
-  std::array<std::uint64_t, 4> words{};
-  EXPECT_FALSE(mask_any(words.data(), 4));
-  mask_set(words.data(), 255);
-  EXPECT_TRUE(mask_any(words.data(), 4));
-  // Only the first `num_words` words are consulted.
-  EXPECT_FALSE(mask_any(words.data(), 3));
-}
-
-TEST(Bits, SetRangeWithinOneWord) {
-  std::array<std::uint64_t, 2> words{};
-  mask_set_range(words.data(), 3, 5);
-  EXPECT_EQ(words[0], 0b111000u);
-  EXPECT_EQ(words[1], 0u);
-}
-
-TEST(Bits, SetRangeCrossingWords) {
-  std::array<std::uint64_t, 4> words{};
-  mask_set_range(words.data(), 60, 130);
-  for (std::size_t lane = 0; lane < 256; ++lane) {
-    EXPECT_EQ(mask_test(words.data(), lane), lane >= 60 && lane <= 130)
-        << lane;
-  }
-}
-
-TEST(Bits, SetRangeFullWords) {
-  std::array<std::uint64_t, 8> words{};
-  mask_set_range(words.data(), 0, 511);
-  for (std::size_t w = 0; w < 8; ++w) EXPECT_EQ(words[w], ~std::uint64_t{0});
-}
-
-TEST(Bits, SetRangeIsAnOrNotAnAssign) {
-  std::array<std::uint64_t, 2> words{};
-  mask_set(words.data(), 0);
-  mask_set_range(words.data(), 70, 71);
-  EXPECT_TRUE(mask_test(words.data(), 0));
+  EXPECT_EQ(mask, (std::uint64_t{1} << 0) | (std::uint64_t{1} << 31) |
+                      (std::uint64_t{1} << 32) | (std::uint64_t{1} << 63));
+  mask &= ~lane_bit(31);
+  EXPECT_FALSE(mask_test(mask, 31));
+  EXPECT_TRUE(mask_test(mask, 32));
+  static_assert(lane_bit(63) == std::uint64_t{1} << 63);
 }
 
 TEST(Bits, ForEachSetLaneAscending) {
-  std::array<std::uint64_t, 8> words{};
-  const std::vector<std::size_t> lanes = {0, 1, 63, 64, 100, 400, 511};
-  for (const std::size_t lane : lanes) mask_set(words.data(), lane);
+  const std::vector<std::size_t> lanes = {0, 1, 7, 8, 33, 62, 63};
+  std::uint64_t mask = 0;
+  for (const std::size_t lane : lanes) mask |= lane_bit(lane);
   std::vector<std::size_t> seen;
-  for_each_set_lane(words.data(), 8, [&](std::size_t k) { seen.push_back(k); });
+  for_each_set_lane(mask, [&](std::size_t k) { seen.push_back(k); });
   EXPECT_EQ(seen, lanes);
-}
-
-TEST(Bits, ForEachSetLaneRespectsWordCount) {
-  std::array<std::uint64_t, 8> words{};
-  mask_set(words.data(), 10);
-  mask_set(words.data(), 70);
-  std::size_t count = 0;
-  for_each_set_lane(words.data(), 1, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count, 1u);
+  std::size_t calls = 0;
+  for_each_set_lane(std::uint64_t{0}, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0u);
 }
 
 }  // namespace
