@@ -4,11 +4,13 @@
 #   1. ASan + UBSan: full test suite. Catches the out-of-bounds writes the
 #      loaders/builders are hardened against, plus lifetime bugs in the
 #      pointer-rich streaming structures.
-#   2. TSan: tests/par + tests/streaming + tests/obs + tests/exec. Gates the
-#      hand-rolled work-stealing pool (Chase-Lev deques, sleep/notify
-#      protocol), the streaming and postmortem runners' use of it (parts
-#      side by side, nested kernel loops), and the telemetry layer's
-#      per-thread counter blocks / trace buffers under pool churn.
+#   2. TSan: tests/par + tests/streaming + tests/obs + tests/graph +
+#      tests/exec. Gates the hand-rolled work-stealing pool (Chase-Lev
+#      deques, sleep/notify protocol), the multi-window build's concurrent
+#      parts (each with its own compaction bitmap, nested row sorts), the
+#      streaming and postmortem runners' use of the pool (parts side by
+#      side, nested kernel loops), and the telemetry layer's per-thread
+#      counter blocks / trace buffers under pool churn.
 #
 # Usage: ci/sanitize.sh [asan|tsan|all]      (default: all)
 #
@@ -61,9 +63,9 @@ run_tsan() {
   local dir="${BUILD_ROOT}/tsan"
   echo "=== [2/2] thread: configure + build ==="
   build_tree "${dir}" "thread"
-  echo "=== [2/2] thread: par + streaming + obs + batch-compile + exec suites ==="
+  echo "=== [2/2] thread: par, streaming, obs, graph, batch-compile, exec ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
-    -L '^(par_test|streaming_test|obs_test|batch_csr_par_test|exec_test)$'
+    -L '^(par_test|streaming_test|obs_test|graph_test|batch_csr_par_test|exec_test)$'
 }
 
 case "${MODE}" in

@@ -466,7 +466,7 @@ RunResult run_postmortem(const TemporalEdgeList& events,
       opts.policy = config.partition_policy;
       opts.budget_bytes = config.memory_budget_bytes;
       opts.spill_path = config.spill_path;
-      paged = PagedMultiWindowSet::build(events, spec, opts);
+      paged = PagedMultiWindowSet::build(events, spec, opts, config.pool);
       build_seconds = build_timer.seconds();
     }
     RunResult result = run_postmortem_paged(*paged, sink, config);
@@ -477,9 +477,12 @@ RunResult run_postmortem(const TemporalEdgeList& events,
 
   MultiWindowSet set = [&] {
     PMPR_PHASE("postmortem.build_representation", obs::Phase::kBuild, 0);
-    MultiWindowSet s = MultiWindowSet::build(
-        events, spec, config.num_multi_windows, config.partition_policy);
-    if (config.storage == StorageKind::kCompressed) s.compress_in_place();
+    MultiWindowSet s =
+        MultiWindowSet::build(events, spec, config.num_multi_windows,
+                              config.partition_policy, config.pool);
+    if (config.storage == StorageKind::kCompressed) {
+      s.compress_in_place(io::kDefaultChunkEntries, config.pool);
+    }
     build_seconds = build_timer.seconds();
     return s;
   }();

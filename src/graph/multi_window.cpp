@@ -1,7 +1,9 @@
 #include "graph/multi_window.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 
 #include "par/task_group.hpp"
 #include "util/check.hpp"
@@ -26,7 +28,8 @@ MultiWindowGraph build_multi_window_part(std::span<const TemporalEdge> slice,
                                          std::size_t first_window,
                                          std::size_t num_windows,
                                          Timestamp span_start,
-                                         Timestamp span_end) {
+                                         Timestamp span_end,
+                                         par::ThreadPool* pool) {
   MultiWindowGraph part;
   part.first_window = first_window;
   part.num_windows = num_windows;
@@ -34,27 +37,44 @@ MultiWindowGraph build_multi_window_part(std::span<const TemporalEdge> slice,
   part.span_end = span_end;
   part.num_events = slice.size();
 
-  // Compact vertex space: collect and sort distinct endpoints.
-  part.local_to_global.reserve(slice.size() * 2);
+  // Compact vertex space in O(E + V/64): mark every endpoint in a bitmap,
+  // rank each word by a prefix sum of popcounts, and read the set bits
+  // back in ascending order. Local id of g = marked ids below g.
+  VertexId max_id = 0;
+  for (const auto& e : slice) max_id = std::max({max_id, e.src, e.dst});
+  const std::size_t words = static_cast<std::size_t>(max_id / 64) + 1;
+  std::vector<std::uint64_t> marked(words, 0);
+  const auto bit = [](VertexId g) { return std::uint64_t{1} << (g % 64); };
   for (const auto& e : slice) {
-    part.local_to_global.push_back(e.src);
-    part.local_to_global.push_back(e.dst);
+    marked[e.src / 64] |= bit(e.src);
+    marked[e.dst / 64] |= bit(e.dst);
   }
-  std::sort(part.local_to_global.begin(), part.local_to_global.end());
-  part.local_to_global.erase(
-      std::unique(part.local_to_global.begin(), part.local_to_global.end()),
-      part.local_to_global.end());
-  part.local_to_global.shrink_to_fit();
+  std::vector<VertexId> rank(words);  // marked ids below word w
+  VertexId distinct = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    rank[w] = distinct;
+    distinct += static_cast<VertexId>(std::popcount(marked[w]));
+  }
+  part.local_to_global.reserve(distinct);
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t m = marked[w]; m != 0; m &= m - 1) {
+      part.local_to_global.push_back(
+          static_cast<VertexId>(w * 64 + std::countr_zero(m)));
+    }
+  }
+  const auto local = [&marked, &rank, bit](VertexId g) {
+    return rank[g / 64] +
+           static_cast<VertexId>(std::popcount(marked[g / 64] & (bit(g) - 1)));
+  };
 
   // Remap events to local ids and build the reverse temporal CSR.
   std::vector<TemporalEdge> local_events;
   local_events.reserve(slice.size());
   for (const auto& e : slice) {
-    local_events.push_back(
-        {part.local_of(e.src), part.local_of(e.dst), e.time});
+    local_events.push_back({local(e.src), local(e.dst), e.time});
   }
   part.in = TemporalCsr::build(local_events, part.num_local(),
-                               /*reverse=*/true);
+                               /*reverse=*/true, pool);
   return part;
 }
 
@@ -126,7 +146,8 @@ std::vector<std::size_t> partition_boundaries(const TemporalEdgeList& events,
 MultiWindowSet MultiWindowSet::build(const TemporalEdgeList& events,
                                      const WindowSpec& spec,
                                      std::size_t num_parts,
-                                     PartitionPolicy policy) {
+                                     PartitionPolicy policy,
+                                     par::ThreadPool* pool) {
   spec.validate();
   PMPR_CHECK_MSG(spec.count >= 1,
                  "MultiWindowSet::build needs at least one window");
@@ -142,7 +163,7 @@ MultiWindowSet MultiWindowSet::build(const TemporalEdgeList& events,
   const std::vector<std::size_t> boundaries =
       partition_boundaries(events, spec, num_parts, policy);
 
-  par::TaskGroup group;
+  par::TaskGroup group(pool);
   for (std::size_t p = 0; p < num_parts; ++p) {
     const std::size_t first = boundaries[p];
     const std::size_t last = boundaries[p + 1];  // exclusive
@@ -150,10 +171,10 @@ MultiWindowSet MultiWindowSet::build(const TemporalEdgeList& events,
     if (nwin == 0) continue;
     const Timestamp span_start = spec.start(first);
     const Timestamp span_end = spec.end(last - 1);
-    group.run([&set, &events, p, first, nwin, span_start, span_end] {
+    group.run([&set, &events, p, first, nwin, span_start, span_end, pool] {
       set.parts_[p] = build_multi_window_part(
           events.slice(span_start, span_end), first, nwin, span_start,
-          span_end);
+          span_end, pool);
     });
   }
   group.wait();
@@ -177,8 +198,9 @@ MultiWindowSet MultiWindowSet::adopt(const WindowSpec& spec,
   return set;
 }
 
-void MultiWindowSet::compress_in_place(std::size_t target_chunk_entries) {
-  par::TaskGroup group;
+void MultiWindowSet::compress_in_place(std::size_t target_chunk_entries,
+                                       par::ThreadPool* pool) {
+  par::TaskGroup group(pool);
   for (auto& part : parts_) {
     group.run([&part, target_chunk_entries] {
       part.compress(target_chunk_entries);

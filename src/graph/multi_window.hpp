@@ -24,6 +24,10 @@
 
 namespace pmpr {
 
+namespace par {
+class ThreadPool;
+}  // namespace par
+
 /// One multi-window graph: a contiguous run of windows plus the in-adjacency
 /// temporal CSR over the local (compacted) vertex space.
 struct MultiWindowGraph {
@@ -33,8 +37,9 @@ struct MultiWindowGraph {
   Timestamp span_end = 0;        ///< Latest time any held window covers.
   std::size_t num_events = 0;    ///< Events stored (duplicates across parts).
 
-  /// Sorted global ids of the vertices that occur in this part; local id i
-  /// corresponds to global id local_to_global[i].
+  /// Global ids of the vertices that occur in this part, strictly
+  /// ascending by construction; local id i corresponds to global id
+  /// local_to_global[i].
   std::vector<VertexId> local_to_global;
 
   /// Reverse (in-neighbor) temporal CSR in local ids — the layout the
@@ -70,9 +75,10 @@ struct MultiWindowGraph {
   }
 
   /// Deep structural audit: window range non-empty, span ordered,
-  /// local_to_global strictly sorted (the local_of binary search depends on
-  /// it), CSR sized to the local space, stored events within the span, plus
-  /// the CSR's own validate(). Throws pmpr::InvariantError.
+  /// local_to_global strictly ascending (the part build emits it that way
+  /// and the local_of binary search depends on it), CSR sized to the local
+  /// space, stored events within the span, plus the CSR's own validate().
+  /// Throws pmpr::InvariantError.
   void validate() const;
 };
 
@@ -100,11 +106,18 @@ std::vector<std::size_t> partition_boundaries(const TemporalEdgeList& events,
                                               PartitionPolicy policy);
 
 /// Builds one part from its event slice (already restricted to the span).
+/// Vertex compaction is O(E + V/64) with 12 B of scratch per 64 ids up to
+/// the slice's largest id: endpoints are marked in a bitmap, and a global
+/// id's local id is the number of marked ids below it (a prefix sum of
+/// per-word popcounts plus one in-word popcount). local_to_global is the
+/// set bits read in order, so it comes out strictly ascending. The row
+/// sort of the reverse temporal CSR runs on `pool` (nullptr = global).
 MultiWindowGraph build_multi_window_part(std::span<const TemporalEdge> slice,
                                          std::size_t first_window,
                                          std::size_t num_windows,
                                          Timestamp span_start,
-                                         Timestamp span_end);
+                                         Timestamp span_end,
+                                         par::ThreadPool* pool = nullptr);
 
 /// The full postmortem representation: spec + all multi-window parts.
 class MultiWindowSet {
@@ -113,11 +126,13 @@ class MultiWindowSet {
   /// assignment follows `policy`. `events` must be time-sorted and `spec`
   /// well-formed (sw > 0, delta >= 0, count >= 1) — both are verified up
   /// front (also in release builds) and violations throw
-  /// pmpr::InvariantError. Parts build in parallel.
+  /// pmpr::InvariantError. Parts build in parallel on `pool` (nullptr =
+  /// global pool).
   static MultiWindowSet build(
       const TemporalEdgeList& events, const WindowSpec& spec,
       std::size_t num_parts,
-      PartitionPolicy policy = PartitionPolicy::kUniformWindows);
+      PartitionPolicy policy = PartitionPolicy::kUniformWindows,
+      par::ThreadPool* pool = nullptr);
 
   /// Assembles a set from pre-built parts (the paged store maps its parts
   /// from the store file and adopts them here so the postmortem driver
@@ -127,10 +142,12 @@ class MultiWindowSet {
                               std::vector<MultiWindowGraph> parts);
 
   /// Re-encodes every part's in-adjacency with the chunked delta+varint
-  /// codec and drops the raw arrays (MultiWindowGraph::compress). The
-  /// compile passes (pagerank/batch_csr.hpp) then stream from the chunks.
+  /// codec and drops the raw arrays (MultiWindowGraph::compress), one task
+  /// per part on `pool` (nullptr = global pool). The compile passes
+  /// (pagerank/batch_csr.hpp) then stream from the chunks.
   void compress_in_place(
-      std::size_t target_chunk_entries = io::kDefaultChunkEntries);
+      std::size_t target_chunk_entries = io::kDefaultChunkEntries,
+      par::ThreadPool* pool = nullptr);
 
   [[nodiscard]] const WindowSpec& spec() const { return spec_; }
   [[nodiscard]] VertexId num_global_vertices() const { return num_global_; }

@@ -39,7 +39,7 @@ std::string default_store_path() {
 
 std::unique_ptr<PagedMultiWindowSet> PagedMultiWindowSet::build(
     const TemporalEdgeList& events, const WindowSpec& spec,
-    const Options& opts) {
+    const Options& opts, par::ThreadPool* pool) {
   spec.validate();
   PMPR_CHECK_MSG(spec.count >= 1,
                  "PagedMultiWindowSet::build needs at least one window");
@@ -81,7 +81,7 @@ std::unique_ptr<PagedMultiWindowSet> PagedMultiWindowSet::build(
     const Timestamp span_end = spec.end(last - 1);
     MultiWindowGraph part = build_multi_window_part(
         events.slice(span_start, span_end), first, last - first, span_start,
-        span_end);
+        span_end, pool);
 
     const io::CompressedTemporalCsr packed =
         compress_temporal_csr(part.in, opts.target_chunk_entries);

@@ -75,10 +75,11 @@ class PagedMultiWindowSet : public obs::ResidencyProbe {
   /// build_multi_window_part), but only one raw part is ever resident.
   /// Throws pmpr::InvariantError on unsorted events / bad spec / IO
   /// failure. Heap-allocated because leases keep back-pointers and the
-  /// store embeds a mutex (non-movable).
+  /// store embeds a mutex (non-movable). Each part's row sort runs on
+  /// `pool` (nullptr = global pool).
   static std::unique_ptr<PagedMultiWindowSet> build(
       const TemporalEdgeList& events, const WindowSpec& spec,
-      const Options& opts);
+      const Options& opts, par::ThreadPool* pool = nullptr);
 
   PagedMultiWindowSet(const PagedMultiWindowSet&) = delete;
   PagedMultiWindowSet& operator=(const PagedMultiWindowSet&) = delete;

@@ -11,7 +11,8 @@
 namespace pmpr {
 
 TemporalCsr TemporalCsr::build(std::span<const TemporalEdge> events,
-                               VertexId num_vertices, bool reverse) {
+                               VertexId num_vertices, bool reverse,
+                               par::ThreadPool* pool) {
   TemporalCsr g;
   g.row_ptr_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
 
@@ -47,8 +48,10 @@ TemporalCsr TemporalCsr::build(std::span<const TemporalEdge> events,
 
   // Sort every row by <neighbor, time> so events between the same pair form
   // a consecutive, time-ascending run. Rows are independent -> parallel.
+  par::ForOptions rows;
+  rows.pool = pool;
   par::parallel_for_range(
-      0, num_vertices, {},
+      0, num_vertices, rows,
       [&g](std::size_t lo_v, std::size_t hi_v) {
         std::vector<std::uint32_t> order;
         std::vector<VertexId> tmp_col;

@@ -21,6 +21,10 @@
 
 namespace pmpr {
 
+namespace par {
+class ThreadPool;
+}  // namespace par
+
 /// Calls `fn(u)` once per distinct neighbor u in a ⟨neighbor, time⟩-sorted
 /// row (given as parallel col/time spans) with at least one event in
 /// [ts, te]. Shared by TemporalCsr::for_each_active_neighbor and the
@@ -62,9 +66,10 @@ class TemporalCsr {
   /// and columns are sources (the layout the pull-style PageRank reads).
   /// Throws pmpr::InvariantError if any event endpoint is >= num_vertices
   /// (also in release builds; a bad endpoint would otherwise write out of
-  /// bounds).
+  /// bounds). Rows sort in parallel on `pool` (nullptr = global pool).
   static TemporalCsr build(std::span<const TemporalEdge> events,
-                           VertexId num_vertices, bool reverse);
+                           VertexId num_vertices, bool reverse,
+                           par::ThreadPool* pool = nullptr);
 
   /// Deep structural audit, O(V + E): row_ptr monotone and consistent with
   /// the entry arrays, every column id in range, every row sorted by

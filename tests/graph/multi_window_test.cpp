@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace pmpr {
 namespace {
@@ -149,6 +155,91 @@ TEST(MultiWindow, EmptySpanPartsStillValid) {
     const auto& part = set.part_for_window(w);
     EXPECT_EQ(part.num_events, 0u);
     EXPECT_EQ(part.num_local(), 0u);
+  }
+}
+
+/// The compaction the bitmap-rank build replaced: collect both endpoints
+/// of every event, sort, unique, and remap each endpoint by binary search.
+MultiWindowGraph sort_oracle_part(std::span<const TemporalEdge> slice) {
+  MultiWindowGraph part;
+  part.num_events = slice.size();
+  for (const auto& e : slice) {
+    part.local_to_global.push_back(e.src);
+    part.local_to_global.push_back(e.dst);
+  }
+  std::sort(part.local_to_global.begin(), part.local_to_global.end());
+  part.local_to_global.erase(
+      std::unique(part.local_to_global.begin(), part.local_to_global.end()),
+      part.local_to_global.end());
+  std::vector<TemporalEdge> local_events;
+  for (const auto& e : slice) {
+    local_events.push_back({part.local_of(e.src), part.local_of(e.dst),
+                            e.time});
+  }
+  part.in = TemporalCsr::build(local_events, part.num_local(),
+                               /*reverse=*/true);
+  return part;
+}
+
+void expect_same_part(const MultiWindowGraph& got,
+                      const MultiWindowGraph& want, const std::string& label) {
+  EXPECT_EQ(got.num_events, want.num_events) << label;
+  EXPECT_EQ(got.local_to_global, want.local_to_global) << label;
+  const auto eq = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  EXPECT_TRUE(eq(got.in.row_ptr(), want.in.row_ptr())) << label;
+  EXPECT_TRUE(eq(got.in.col(), want.in.col())) << label;
+  EXPECT_TRUE(eq(got.in.time(), want.in.time())) << label;
+}
+
+TEST(MultiWindow, PartCompactionMatchesSortOracle) {
+  std::vector<std::pair<std::string, std::vector<TemporalEdge>>> cases = {
+      {"empty", {}},
+      {"self-loop", {{7, 7, 3}}},
+      {"duplicates", {{1, 2, 5}, {1, 2, 5}, {2, 1, 5}, {1, 2, 4}}},
+      {"one pair", {{9, 4, 1}, {9, 4, 2}, {9, 4, 3}, {9, 4, 3}}},
+      {"word boundary", {{63, 64, 1}, {64, 65, 2}, {65, 63, 3}, {64, 64, 4}}},
+      {"sparse", {{0, (1u << 20) + 63, 1}, {(1u << 20) + 63, 0, 2}}},
+      {"large min id",
+       {{4000000, 4000100, 1}, {4000063, 4000000, 2}, {4000127, 4000064, 3}}},
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Xoshiro256 rng(seed);
+    const auto n = static_cast<VertexId>(1 + rng.bounded(5000));
+    std::vector<TemporalEdge> slice(rng.bounded(20000));
+    for (auto& e : slice) {
+      e = {static_cast<VertexId>(rng.bounded(n)),
+           static_cast<VertexId>(rng.bounded(n)),
+           static_cast<Timestamp>(rng.bounded(1000))};
+    }
+    cases.emplace_back("random seed " + std::to_string(seed),
+                       std::move(slice));
+  }
+  for (const auto& [label, slice] : cases) {
+    const MultiWindowGraph got = build_multi_window_part(slice, 0, 1, 0, 1000);
+    expect_same_part(got, sort_oracle_part(slice), label);
+    got.validate();
+  }
+}
+
+TEST(MultiWindow, BuildIdenticalAcrossPools) {
+  const TemporalEdgeList events = test::random_events(13, 400, 20000, 50000);
+  const WindowSpec spec = WindowSpec::cover(0, 50000, 9000, 1000);
+  par::ThreadPool one(1);
+  const MultiWindowSet want =
+      MultiWindowSet::build(events, spec, 6, PartitionPolicy::kUniformWindows,
+                            &one);
+  for (const std::size_t workers : {2u, 4u}) {
+    par::ThreadPool pool(workers);
+    const MultiWindowSet got = MultiWindowSet::build(
+        events, spec, 6, PartitionPolicy::kUniformWindows, &pool);
+    ASSERT_EQ(got.num_parts(), want.num_parts());
+    for (std::size_t p = 0; p < got.num_parts(); ++p) {
+      expect_same_part(got.part(p), want.part(p),
+                       std::to_string(workers) + " workers, part " +
+                           std::to_string(p));
+    }
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -238,6 +241,31 @@ TEST(PagedMultiWindowSet, ExplicitSpillPathIsUsed) {
     ASSERT_TRUE(std::filesystem::exists(path));
   }
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+/// FNV-1a (64-bit) over a file's bytes.
+std::uint64_t fnv1a_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (auto it = std::istreambuf_iterator<char>(in);
+       it != std::istreambuf_iterator<char>(); ++it) {
+    h ^= static_cast<unsigned char>(*it);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(PagedMultiWindowSet, StoreBytesArePinned) {
+  // Golden digest of the store file for a fixed seeded input. The store
+  // bytes encode the local vertex numbering, the row order of the reverse
+  // temporal CSR and the chunk codec, so any change to the part build or
+  // the on-disk form — a different local-id order included — moves it.
+  const TemporalEdgeList events = test::random_events(2024, 700, 20000, 1999);
+  const auto paged =
+      PagedMultiWindowSet::build(events, test_spec(), opts_with(5));
+  const PagingStats stats = paged->stats();
+  EXPECT_EQ(stats.store_bytes, 103559u);
+  EXPECT_EQ(fnv1a_file(paged->store_path()), 0x5add6becb7a25e7dULL);
 }
 
 TEST(PagedMultiWindowSet, RejectsUnsortedEvents) {
