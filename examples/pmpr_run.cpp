@@ -2,8 +2,14 @@
 // stack: scheduler/kernel counters, per-window convergence metrics, and a
 // Perfetto-loadable trace.
 //
-//   ./pmpr_run --model postmortem --dataset wiki-talk --scale 0.01 \
+//   ./pmpr_run --model postmortem --dataset wiki-talk --scale 0.01
 //              --trace trace.json --metrics metrics.json
+//
+// --t0-days D starts the windows D days after the surrogate's t_begin and
+// covers up to its t_end, which is how perfbench lays out its workloads
+// (`--t0-days 1500 --scale 3 --sw 21600 --max-windows 512` reproduces the
+// overlap/paged windows); without it the windows span the first to the last
+// generated event.
 //
 // Load trace.json in https://ui.perfetto.dev (or chrome://tracing) to see
 // the per-phase spans; metrics.json holds the pmpr-metrics-v4 record
@@ -30,6 +36,7 @@ int main(int argc, char** argv) {
   std::int64_t delta_days = 90;
   std::int64_t sw = 86'400;
   std::int64_t max_windows = 64;
+  std::int64_t t0_days = -1;
   std::int64_t max_lanes = 0;
   std::string simd = "auto";
   std::string storage = "in-ram";
@@ -72,6 +79,9 @@ int main(int argc, char** argv) {
   opts.add("delta-days", &delta_days, "window size in days");
   opts.add("sw", &sw, "sliding offset in seconds");
   opts.add("max-windows", &max_windows, "cap on the number of windows");
+  opts.add("t0-days", &t0_days,
+           "start the windows this many days after the dataset's t_begin "
+           "and cover to its t_end (negative = first to last generated event)");
   opts.add("trace", &trace_path,
            "write a Chrome trace-event JSON (Perfetto-loadable) here");
   opts.add("metrics", &metrics_path,
@@ -140,9 +150,13 @@ int main(int argc, char** argv) {
       gen::scaled(gen::dataset_by_name(dataset), scale);
   const TemporalEdgeList events =
       gen::generate(spec, static_cast<std::uint64_t>(seed));
-  const WindowSpec windows = WindowSpec::cover_capped(
-      events.min_time(), events.max_time(), delta_days * duration::kDay, sw,
-      static_cast<std::size_t>(max_windows));
+  const Timestamp t_lo = t0_days >= 0
+                            ? spec.t_begin + t0_days * duration::kDay
+                            : events.min_time();
+  const Timestamp t_hi = t0_days >= 0 ? spec.t_end : events.max_time();
+  const WindowSpec windows =
+      WindowSpec::cover_capped(t_lo, t_hi, delta_days * duration::kDay, sw,
+                               static_cast<std::size_t>(max_windows));
   std::printf("%s surrogate: %zu events, %u vertices, %zu windows\n",
               dataset.c_str(), events.size(), events.num_vertices(),
               windows.count);

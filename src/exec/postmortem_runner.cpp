@@ -1,6 +1,7 @@
 #include "exec/postmortem_runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <memory>
 #include <utility>
@@ -37,7 +38,6 @@ struct ChainState {
   io::DecodeScratch decode_scratch;
   std::vector<double> x;
   std::vector<double> scratch;
-  std::vector<double> lane_buf;
 
   // Carry for partial initialization: result of the chain's previous item.
   std::vector<double> prev_x;
@@ -73,55 +73,6 @@ std::size_t lanes_of_batch(const PartBatching& b, std::size_t num_windows,
   // Lane r exists iff r*region + j < num_windows.
   if (j >= num_windows) return 0;
   return (num_windows - j - 1) / b.region + 1;
-}
-
-/// Eq. 4 for lane k over lane-interleaved storage: lane k of the current
-/// batch warm-starts from lane k of the previous one.
-void spmm_partial_init_lane(std::span<const double> prev_x,
-                            std::size_t prev_lanes,
-                            std::span<const std::uint64_t> prev_mask,
-                            std::span<double> cur_x, std::size_t cur_lanes,
-                            std::span<const std::uint64_t> cur_mask,
-                            std::size_t k, std::size_t cur_num_active) {
-  const std::size_t n = cur_mask.size();
-  const auto prev_has = [&](std::size_t v) {
-    return mask_test(prev_mask[v], k);
-  };
-  const auto cur_has = [&](std::size_t v) { return mask_test(cur_mask[v], k); };
-  if (cur_num_active == 0) {
-    for (std::size_t v = 0; v < n; ++v) cur_x[v * cur_lanes + k] = 0.0;
-    return;
-  }
-  std::size_t shared = 0;
-  double mass = 0.0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (prev_has(v) && cur_has(v)) {
-      ++shared;
-      mass += prev_x[v * prev_lanes + k];
-    }
-  }
-  const double uniform = 1.0 / static_cast<double>(cur_num_active);
-  if (shared == 0 || mass <= 0.0) {
-    for (std::size_t v = 0; v < n; ++v) {
-      cur_x[v * cur_lanes + k] = cur_has(v) ? uniform : 0.0;
-    }
-    obs::count(obs::Counter::kVerticesReseeded, cur_num_active);
-    return;
-  }
-  obs::count(obs::Counter::kVerticesReused, shared);
-  obs::count(obs::Counter::kVerticesReseeded, cur_num_active - shared);
-  const double scale =
-      (static_cast<double>(shared) / static_cast<double>(cur_num_active)) /
-      mass;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!cur_has(v)) {
-      cur_x[v * cur_lanes + k] = 0.0;
-    } else if (prev_has(v)) {
-      cur_x[v * cur_lanes + k] = prev_x[v * prev_lanes + k] * scale;
-    } else {
-      cur_x[v * cur_lanes + k] = uniform;
-    }
-  }
 }
 
 class PostmortemDriver {
@@ -263,25 +214,7 @@ class PostmortemDriver {
                          st.prev_x.size() == n * st.prev_lanes;
     {
       PMPR_PHASE("batch.init", obs::Phase::kInit, batch.first_window);
-      for (std::size_t k = 0; k < lanes; ++k) {
-        if (partial) {
-          // Lane k's window is the successor of the previous batch's lane k.
-          spmm_partial_init_lane(st.prev_x, st.prev_lanes, st.prev_mask,
-                                 st.x, lanes, st.spmm_ws.active_mask, k,
-                                 st.spmm_ws.num_active[k]);
-        } else {
-          const double uniform =
-              st.spmm_ws.num_active[k] > 0
-                  ? 1.0 / static_cast<double>(st.spmm_ws.num_active[k])
-                  : 0.0;
-          for (std::size_t v = 0; v < n; ++v) {
-            st.x[v * lanes + k] =
-                mask_test(st.spmm_ws.active_mask[v], k) ? uniform : 0.0;
-          }
-          obs::count(obs::Counter::kVerticesReseeded,
-                     st.spmm_ws.num_active[k]);
-        }
-      }
+      spmm_init(st, lanes, partial);
     }
 
     SpmmStats stats;
@@ -295,16 +228,24 @@ class PostmortemDriver {
                    lanes);
 
     PMPR_PHASE("batch.sink", obs::Phase::kSink, batch.first_window);
-    st.lane_buf.resize(n);
+    // De-interleave into the kernel's spent scratch, lane k at [k*n, k*n+n).
+    const auto transpose = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t k = 0; k < lanes; ++k) {
+        for (std::size_t v = lo; v < hi; ++v) {
+          st.scratch[k * n + v] = st.x[v * lanes + k];
+        }
+      }
+    };
+    par::maybe_parallel_for_range(0, n, kernel_par_, transpose);
     for (std::size_t k = 0; k < lanes; ++k) {
       const std::size_t w = batch.window_of_lane(k);
-      for (std::size_t v = 0; v < n; ++v) {
-        st.lane_buf[v] = st.x[v * lanes + k];
-      }
       result_.iterations_per_window[w] = stats.lane_stats[k].iterations;
       result_.final_residuals[w] = stats.lane_stats[k].final_residual;
-      result_.residual_trajectories[w] = std::move(stats.lane_stats[k].residuals);
-      sink_.consume_mapped(w, part.local_to_global, st.lane_buf);
+      result_.residual_trajectories[w] =
+          std::move(stats.lane_stats[k].residuals);
+      sink_.consume_mapped(
+          w, part.local_to_global,
+          std::span<const double>(st.scratch).subspan(k * n, n));
     }
     // Read-amplification denominator: one rank vector per lane's window.
     obs::count(obs::Counter::kWindowOutputBytes, lanes * n * sizeof(double));
@@ -312,6 +253,75 @@ class PostmortemDriver {
     st.prev_x.swap(st.x);
     st.prev_mask = st.spmm_ws.active_mask;  // copy; spmm_ws reused next item
     st.prev_lanes = lanes;
+  }
+
+  /// Initial iterate of an SpMM batch (lane-interleaved st.x). Cold: lane
+  /// k is uniform over its active vertices. Partial (Eq. 4): lane k
+  /// warm-starts from lane k of the previous batch, whose window is its
+  /// predecessor. A serial vertex-major pass sums every lane's shared
+  /// count and mass in ascending v, so each sum has one fixed order; each
+  /// lane then picks its case, and one pass writes all lanes of each row.
+  /// Only the writes run in parallel, so x is the same on any pool.
+  void spmm_init(ChainState& st, std::size_t lanes, bool partial) const {
+    const SpmmWindowState& ws = st.spmm_ws;
+    const std::size_t n = ws.active_mask.size();
+    std::array<double, kMaxSpmmLanes> uniform{};
+    std::array<double, kMaxSpmmLanes> scale{};
+    std::uint64_t warm = 0;  // lanes that warm-start from prev_x
+    std::uint64_t reseeded = 0;
+    std::uint64_t reused = 0;
+    for (std::size_t k = 0; k < lanes; ++k) {
+      if (ws.num_active[k] > 0) {
+        uniform[k] = 1.0 / static_cast<double>(ws.num_active[k]);
+      }
+    }
+    if (partial) {
+      std::array<std::size_t, kMaxSpmmLanes> shared{};
+      std::array<double, kMaxSpmmLanes> mass{};
+      for (std::size_t v = 0; v < n; ++v) {
+        // active_mask holds lanes < lanes only, so `both` does too.
+        const std::uint64_t both = st.prev_mask[v] & ws.active_mask[v];
+        for_each_set_lane(both, [&](std::size_t k) {
+          ++shared[k];
+          mass[k] += st.prev_x[v * st.prev_lanes + k];
+        });
+      }
+      for (std::size_t k = 0; k < lanes; ++k) {
+        if (ws.num_active[k] == 0) continue;
+        if (shared[k] == 0 || mass[k] <= 0.0) {
+          reseeded += ws.num_active[k];
+          continue;
+        }
+        reused += shared[k];
+        reseeded += ws.num_active[k] - shared[k];
+        warm |= lane_bit(k);
+        scale[k] = (static_cast<double>(shared[k]) /
+                    static_cast<double>(ws.num_active[k])) /
+                   mass[k];
+      }
+    } else {
+      for (std::size_t k = 0; k < lanes; ++k) reseeded += ws.num_active[k];
+    }
+    const auto write = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t v = lo; v < hi; ++v) {
+        const std::uint64_t cur = ws.active_mask[v];
+        const std::uint64_t reuse =
+            warm != 0 ? cur & st.prev_mask[v] & warm : 0;
+        double* row = st.x.data() + v * lanes;
+        for (std::size_t k = 0; k < lanes; ++k) {
+          if (!mask_test(cur, k)) {
+            row[k] = 0.0;
+          } else if (mask_test(reuse, k)) {
+            row[k] = st.prev_x[v * st.prev_lanes + k] * scale[k];
+          } else {
+            row[k] = uniform[k];
+          }
+        }
+      }
+    };
+    par::maybe_parallel_for_range(0, n, kernel_par_, write);
+    if (reused != 0) obs::count(obs::Counter::kVerticesReused, reused);
+    if (reseeded != 0) obs::count(obs::Counter::kVerticesReseeded, reseeded);
   }
 
   const MultiWindowSet* set_ = nullptr;

@@ -17,10 +17,11 @@ VertexId MultiWindowGraph::local_of(VertexId global) const {
   return static_cast<VertexId>(it - local_to_global.begin());
 }
 
-void MultiWindowGraph::compress(std::size_t target_chunk_entries) {
+void MultiWindowGraph::compress(std::size_t target_chunk_entries,
+                                par::ThreadPool* pool) {
   if (is_compressed()) return;
   in_compressed = std::make_shared<const io::CompressedTemporalCsr>(
-      compress_temporal_csr(in, target_chunk_entries));
+      compress_temporal_csr(in, target_chunk_entries, pool));
   in = TemporalCsr{};
 }
 
@@ -202,8 +203,8 @@ void MultiWindowSet::compress_in_place(std::size_t target_chunk_entries,
                                        par::ThreadPool* pool) {
   par::TaskGroup group(pool);
   for (auto& part : parts_) {
-    group.run([&part, target_chunk_entries] {
-      part.compress(target_chunk_entries);
+    group.run([&part, target_chunk_entries, pool] {
+      part.compress(target_chunk_entries, pool);
     });
   }
   group.wait();

@@ -56,8 +56,10 @@ struct MultiWindowGraph {
 
   [[nodiscard]] bool is_compressed() const { return in_compressed != nullptr; }
 
-  /// Re-encodes `in` with the chunked codec and drops the raw arrays.
-  void compress(std::size_t target_chunk_entries = io::kDefaultChunkEntries);
+  /// Re-encodes `in` with the chunked codec (chunks in parallel on `pool`,
+  /// nullptr = global pool) and drops the raw arrays.
+  void compress(std::size_t target_chunk_entries = io::kDefaultChunkEntries,
+                par::ThreadPool* pool = nullptr);
 
   [[nodiscard]] VertexId num_local() const {
     return static_cast<VertexId>(local_to_global.size());
@@ -143,7 +145,8 @@ class MultiWindowSet {
 
   /// Re-encodes every part's in-adjacency with the chunked delta+varint
   /// codec and drops the raw arrays (MultiWindowGraph::compress), one task
-  /// per part on `pool` (nullptr = global pool). The compile passes
+  /// per part on `pool` (nullptr = global pool), each part's chunks
+  /// encoding in parallel on the same pool. The compile passes
   /// (pagerank/batch_csr.hpp) then stream from the chunks.
   void compress_in_place(
       std::size_t target_chunk_entries = io::kDefaultChunkEntries,

@@ -84,7 +84,7 @@ std::unique_ptr<PagedMultiWindowSet> PagedMultiWindowSet::build(
         span_end, pool);
 
     const io::CompressedTemporalCsr packed =
-        compress_temporal_csr(part.in, opts.target_chunk_entries);
+        compress_temporal_csr(part.in, opts.target_chunk_entries, pool);
     part.in = TemporalCsr{};  // drop the raw arrays before the next part
 
     blob.clear();

@@ -150,9 +150,19 @@ static_assert(std::is_same_v<io::TimeValue, Timestamp>,
               "io::TimeValue must match Timestamp");
 
 io::CompressedTemporalCsr compress_temporal_csr(
-    const TemporalCsr& csr, std::size_t target_chunk_entries) {
-  return io::CompressedTemporalCsr::encode(csr.row_ptr(), csr.col(),
-                                           csr.time(), target_chunk_entries);
+    const TemporalCsr& csr, std::size_t target_chunk_entries,
+    par::ThreadPool* pool) {
+  using io::CompressedTemporalCsr;
+  std::vector<io::ChunkMeta> chunks = CompressedTemporalCsr::plan_chunks(
+      csr.row_ptr(), csr.col(), csr.time(), target_chunk_entries);
+  std::vector<std::vector<std::uint8_t>> payloads(chunks.size());
+  par::parallel_for(0, chunks.size(),
+                    par::ForOptions{par::Partitioner::kAuto, 1, pool},
+                    [&](std::size_t c) {
+                      payloads[c] = CompressedTemporalCsr::encode_chunk(
+                          chunks[c], csr.row_ptr(), csr.col(), csr.time());
+                    });
+  return CompressedTemporalCsr::assemble(std::move(chunks), payloads);
 }
 
 TemporalCsr decompress_temporal_csr(const io::CompressedTemporalCsr& packed) {

@@ -149,10 +149,13 @@ class TemporalCsr {
 
 /// Re-encodes the CSR with the chunked delta+varint codec
 /// (io/compressed_csr.hpp). Lossless: decompress_temporal_csr round-trips
-/// every row bit-exactly, including adversarial timestamp patterns.
+/// every row bit-exactly, including adversarial timestamp patterns. The
+/// chunks encode in parallel on `pool` (nullptr = global pool); the bytes
+/// are those of the serial CompressedTemporalCsr::encode on any pool.
 io::CompressedTemporalCsr compress_temporal_csr(
     const TemporalCsr& csr,
-    std::size_t target_chunk_entries = io::kDefaultChunkEntries);
+    std::size_t target_chunk_entries = io::kDefaultChunkEntries,
+    par::ThreadPool* pool = nullptr);
 
 /// Inverse of compress_temporal_csr (materializes the raw arrays).
 TemporalCsr decompress_temporal_csr(const io::CompressedTemporalCsr& packed);

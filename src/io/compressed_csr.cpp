@@ -47,10 +47,9 @@ void append_pod(std::vector<std::uint8_t>& out, T v) {
 
 }  // namespace
 
-CompressedTemporalCsr CompressedTemporalCsr::encode(
+std::vector<ChunkMeta> CompressedTemporalCsr::plan_chunks(
     std::span<const std::size_t> row_ptr, std::span<const ColId> cols,
     std::span<const TimeValue> times, std::size_t target_chunk_entries) {
-  CompressedTemporalCsr out;
   PMPR_CHECK_MSG(cols.size() == times.size(),
                  "col/time arrays disagree: " << cols.size() << " vs "
                                               << times.size());
@@ -58,7 +57,7 @@ CompressedTemporalCsr CompressedTemporalCsr::encode(
   if (num_rows == 0) {
     PMPR_CHECK_MSG(cols.empty(),
                    "rowless CSR carries " << cols.size() << " entries");
-    return out;
+    return {};
   }
   PMPR_CHECK_MSG(row_ptr.front() == 0 && row_ptr.back() == cols.size(),
                  "row_ptr ends [" << row_ptr.front() << ", "
@@ -69,63 +68,103 @@ CompressedTemporalCsr CompressedTemporalCsr::encode(
     PMPR_CHECK_MSG(row_ptr[v] <= row_ptr[v + 1],
                    "row_ptr not monotone at row " << v);
   }
-  out.num_rows_ = num_rows;
-  out.num_entries_ = cols.size();
 
   const std::size_t target = std::max<std::size_t>(1, target_chunk_entries);
-  std::vector<std::uint8_t> buf;
-  buf.reserve(cols.size() * 2 + num_rows);
-
+  std::vector<ChunkMeta> chunks;
   std::size_t r = 0;
   while (r < num_rows) {
-    ChunkMeta m;
-    m.first_row = r;
-    m.first_entry = row_ptr[r];
-    m.byte_offset = buf.size();
     // Whole rows until the chunk holds >= target entries (a single long
     // row may exceed it alone; trailing empty rows join the last chunk).
     std::size_t end = r;
     do {
       ++end;
     } while (end < num_rows && row_ptr[end] - row_ptr[r] < target);
+    ChunkMeta m;
+    m.first_row = r;
     m.num_rows = end - r;
+    m.first_entry = row_ptr[r];
     m.num_entries = row_ptr[end] - row_ptr[r];
-
-    if (m.num_entries > 0) {
-      TimeValue tmin = std::numeric_limits<TimeValue>::max();
-      TimeValue tmax = std::numeric_limits<TimeValue>::min();
-      for (std::size_t i = row_ptr[r]; i < row_ptr[end]; ++i) {
-        tmin = std::min(tmin, times[i]);
-        tmax = std::max(tmax, times[i]);
-      }
-      m.time_min = tmin;
-      m.time_max = tmax;
-    }
-    const TimeValue base = m.num_entries > 0 ? m.time_min : 0;
-
-    for (std::size_t v = r; v < end; ++v) {
-      const std::size_t lo = row_ptr[v];
-      const std::size_t hi = row_ptr[v + 1];
-      append_varint(buf, hi - lo);
-      ColId prev_col = 0;
-      TimeValue prev_t = base;
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (i == lo) {
-          append_varint(buf, cols[i]);
-        } else {
-          append_delta32(buf, cols[i], prev_col);
-        }
-        append_delta(buf, times[i], prev_t);
-        prev_col = cols[i];
-        prev_t = times[i];
-      }
-    }
-    m.byte_size = buf.size() - m.byte_offset;
-    out.chunks_.push_back(m);
+    chunks.push_back(m);
     r = end;
   }
-  out.owned_payload_ = std::move(buf);
+  return chunks;
+}
+
+std::vector<std::uint8_t> CompressedTemporalCsr::encode_chunk(
+    ChunkMeta& m, std::span<const std::size_t> row_ptr,
+    std::span<const ColId> cols, std::span<const TimeValue> times) {
+  const std::size_t first = m.first_entry;
+  const std::size_t last = first + m.num_entries;
+  if (m.num_entries > 0) {
+    TimeValue tmin = std::numeric_limits<TimeValue>::max();
+    TimeValue tmax = std::numeric_limits<TimeValue>::min();
+    for (std::size_t i = first; i < last; ++i) {
+      tmin = std::min(tmin, times[i]);
+      tmax = std::max(tmax, times[i]);
+    }
+    m.time_min = tmin;
+    m.time_max = tmax;
+  }
+  const TimeValue base = m.num_entries > 0 ? m.time_min : 0;
+
+  std::vector<std::uint8_t> buf;
+  buf.reserve(m.num_entries * 2 + m.num_rows);
+  for (std::size_t v = m.first_row; v < m.first_row + m.num_rows; ++v) {
+    const std::size_t lo = row_ptr[v];
+    const std::size_t hi = row_ptr[v + 1];
+    append_varint(buf, hi - lo);
+    ColId prev_col = 0;
+    TimeValue prev_t = base;
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (i == lo) {
+        append_varint(buf, cols[i]);
+      } else {
+        append_delta32(buf, cols[i], prev_col);
+      }
+      append_delta(buf, times[i], prev_t);
+      prev_col = cols[i];
+      prev_t = times[i];
+    }
+  }
+  return buf;
+}
+
+CompressedTemporalCsr CompressedTemporalCsr::assemble(
+    std::vector<ChunkMeta> chunks,
+    std::span<const std::vector<std::uint8_t>> payloads) {
+  PMPR_CHECK_MSG(payloads.size() == chunks.size(),
+                 payloads.size() << " payloads for " << chunks.size()
+                                 << " chunks");
+  CompressedTemporalCsr out;
+  std::size_t bytes = 0;
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    chunks[c].byte_offset = bytes;
+    chunks[c].byte_size = payloads[c].size();
+    bytes += payloads[c].size();
+  }
+  out.owned_payload_.reserve(bytes);
+  for (const std::vector<std::uint8_t>& p : payloads) {
+    out.owned_payload_.insert(out.owned_payload_.end(), p.begin(), p.end());
+  }
+  if (!chunks.empty()) {
+    out.num_rows_ = chunks.back().first_row + chunks.back().num_rows;
+    out.num_entries_ = chunks.back().first_entry + chunks.back().num_entries;
+  }
+  out.chunks_ = std::move(chunks);
+  out.validate_chunk_table("assembled compressed CSR");
   return out;
+}
+
+CompressedTemporalCsr CompressedTemporalCsr::encode(
+    std::span<const std::size_t> row_ptr, std::span<const ColId> cols,
+    std::span<const TimeValue> times, std::size_t target_chunk_entries) {
+  std::vector<ChunkMeta> chunks =
+      plan_chunks(row_ptr, cols, times, target_chunk_entries);
+  std::vector<std::vector<std::uint8_t>> payloads(chunks.size());
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    payloads[c] = encode_chunk(chunks[c], row_ptr, cols, times);
+  }
+  return assemble(std::move(chunks), payloads);
 }
 
 void CompressedTemporalCsr::decode_chunk(std::size_t c,

@@ -100,6 +100,28 @@ class CompressedTemporalCsr {
       std::span<const TimeValue> times,
       std::size_t target_chunk_entries = kDefaultChunkEntries);
 
+  // encode() in three steps, so a caller can run the middle one in
+  // parallel (graph's compress_temporal_csr does); encode() is plan_chunks,
+  // encode_chunk on every chunk in order, then assemble.
+
+  /// Checks the CSR's shape like encode() and cuts its rows into chunks
+  /// from row_ptr alone: row and entry extents are set, the byte and time
+  /// fields stay 0.
+  static std::vector<ChunkMeta> plan_chunks(
+      std::span<const std::size_t> row_ptr, std::span<const ColId> cols,
+      std::span<const TimeValue> times,
+      std::size_t target_chunk_entries = kDefaultChunkEntries);
+  /// Fills planned chunk `m`'s time extent and returns its encoded bytes.
+  /// Reads only m's rows, so distinct chunks encode independently.
+  static std::vector<std::uint8_t> encode_chunk(
+      ChunkMeta& m, std::span<const std::size_t> row_ptr,
+      std::span<const ColId> cols, std::span<const TimeValue> times);
+  /// Lays the chunks' bytes back to back (payloads[c] belongs to
+  /// chunks[c]) and sets their byte extents.
+  static CompressedTemporalCsr assemble(
+      std::vector<ChunkMeta> chunks,
+      std::span<const std::vector<std::uint8_t>> payloads);
+
   [[nodiscard]] std::size_t num_rows() const { return num_rows_; }
   [[nodiscard]] std::size_t num_entries() const { return num_entries_; }
   [[nodiscard]] std::size_t num_chunks() const { return chunks_.size(); }

@@ -1,5 +1,7 @@
 #include "pagerank/batch_csr.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 
@@ -58,11 +60,7 @@ void walk_rows(const MultiWindowGraph& part, Timestamp prune_lo,
              part.in.row_times(static_cast<VertexId>(v)));
       }
     };
-    if (parallel != nullptr) {
-      par::parallel_for_range(0, n, *parallel, rows);
-    } else {
-      rows(0, n);
-    }
+    par::maybe_parallel_for_range(0, n, parallel, rows);
     return;
   }
 
@@ -123,8 +121,13 @@ void for_each_live_run(const WindowSpec& spec, const SpmmBatch& batch,
 }
 
 /// Pass A of the SpMM compile for one row: counts the row's live runs and
-/// scatters degrees and activity exactly like the reference scatter in
-/// tests/oracle/.
+/// scatters activity plus the lane *differences* of the degrees. An entry
+/// adds one to out_degree[u] in every lane its mask sets; each maximal run
+/// [a, b] of set lanes is recorded as +1 at lane a and -1 (mod 2^32) at
+/// lane b + 1 — dropped when b + 1 == lanes, the carry-out of the last
+/// lane — so a run costs two writes however many lanes it spans.
+/// finalize_spmm's prefix over each row's lanes turns the differences into
+/// the reference scatter's degrees (tests/oracle/).
 ///
 /// Atomicity ownership (the TSan-gated stress in
 /// tests/pagerank/batch_csr_parallel_test.cpp guards it):
@@ -145,6 +148,7 @@ std::size_t scatter_row(const WindowSpec& spec, const SpmmBatch& batch,
                         std::span<const VertexId> cols,
                         std::span<const Timestamp> times) {
   const std::size_t lanes = batch.lanes;
+  const std::uint64_t in_batch = lanes_below(lanes);
   const auto bit_or = [](std::uint64_t& slot, std::uint64_t bits) {
     if constexpr (Atomic) {
       // relaxed: commutative bit-set; published by the join.
@@ -154,27 +158,116 @@ std::size_t scatter_row(const WindowSpec& spec, const SpmmBatch& batch,
       slot |= bits;
     }
   };
+  const auto add = [](std::uint32_t& deg, std::uint32_t d) {
+    if constexpr (Atomic) {
+      // relaxed: commutative count, wrapping; published by the join.
+      std::atomic_ref<std::uint32_t>(deg).fetch_add(
+          d, std::memory_order_relaxed);
+    } else {
+      deg += d;
+    }
+  };
   std::uint64_t v_mask = 0;
   std::size_t entries = 0;
-  for_each_live_run(spec, batch, cols, times,
-                    [&](VertexId u, std::uint64_t mask) {
-                      ++entries;
-                      v_mask |= mask;
-                      for_each_set_lane(mask, [&](std::size_t k) {
-                        std::uint32_t& deg = state.out_degree[u * lanes + k];
-                        if constexpr (Atomic) {
-                          // relaxed: pure commutative count; published by
-                          // the join.
-                          std::atomic_ref<std::uint32_t>(deg).fetch_add(
-                              1, std::memory_order_relaxed);
-                        } else {
-                          ++deg;
-                        }
-                      });
-                      bit_or(state.active_mask[u], mask);
-                    });
+  for_each_live_run(
+      spec, batch, cols, times, [&](VertexId u, std::uint64_t mask) {
+        ++entries;
+        v_mask |= mask;
+        std::uint32_t* deg = &state.out_degree[u * lanes];
+        const std::uint64_t starts = mask & ~(mask << 1);
+        const std::uint64_t stops = (mask & ~(mask >> 1)) << 1 & in_batch;
+        for_each_set_lane(starts, [&](std::size_t k) { add(deg[k], 1); });
+        for_each_set_lane(stops, [&](std::size_t k) {
+          add(deg[k], ~std::uint32_t{0});
+        });
+        bit_or(state.active_mask[u], mask);
+      });
   if (v_mask != 0) bit_or(state.active_mask[v], v_mask);
   return entries;
+}
+
+/// Vertices per block of finalize_spmm's count and fill passes.
+constexpr std::size_t kFinalizeBlock = 4096;
+
+/// What one finalize block holds: its active and dangling rows and its
+/// share of every lane's population.
+struct BlockTally {
+  std::size_t active = 0;
+  std::size_t dangling = 0;
+  std::array<std::size_t, kMaxSpmmLanes> lane_active{};
+};
+
+/// After pass A: turns state.out_degree's lane differences into degrees
+/// and builds num_active plus the compaction lists. Count, prefix, fill
+/// over fixed vertex blocks, so every list is ascending in v whichever
+/// thread fills which block.
+void finalize_spmm(SpmmWindowState& state, CompiledBatchCsr& out,
+                   const par::ForOptions* parallel) {
+  const std::size_t n = state.active_mask.size();
+  const std::size_t lanes = state.lanes;
+  const auto dangling_of = [&](std::size_t v, std::uint64_t m) {
+    std::uint64_t dangling = 0;
+    for_each_set_lane(m, [&](std::size_t k) {
+      if (state.out_degree[v * lanes + k] == 0) dangling |= lane_bit(k);
+    });
+    return dangling;
+  };
+  const std::size_t num_blocks = (n + kFinalizeBlock - 1) / kFinalizeBlock;
+  const auto block_end = [n](std::size_t b) {
+    return std::min(n, (b + 1) * kFinalizeBlock);
+  };
+  std::vector<BlockTally> tally(num_blocks);
+  const auto count = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi; ++b) {
+      BlockTally& t = tally[b];
+      for (std::size_t v = b * kFinalizeBlock; v < block_end(b); ++v) {
+        const std::uint64_t m = state.active_mask[v];
+        // Inactive rows are nobody's neighbor: their differences are 0.
+        if (m == 0) continue;
+        std::uint32_t* deg = &state.out_degree[v * lanes];
+        for (std::size_t k = 1; k < lanes; ++k) deg[k] += deg[k - 1];
+        ++t.active;
+        for_each_set_lane(m, [&](std::size_t k) { ++t.lane_active[k]; });
+        if (dangling_of(v, m) != 0) ++t.dangling;
+      }
+    }
+  };
+  par::maybe_parallel_for_range(0, num_blocks, parallel, count);
+
+  std::vector<std::size_t> active_at(num_blocks);
+  std::vector<std::size_t> dangling_at(num_blocks);
+  std::size_t active = 0;
+  std::size_t dangling = 0;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    active_at[b] = active;
+    dangling_at[b] = dangling;
+    active += tally[b].active;
+    dangling += tally[b].dangling;
+    for (std::size_t k = 0; k < lanes; ++k) {
+      state.num_active[k] += tally[b].lane_active[k];
+    }
+  }
+  out.active_rows.resize(active);
+  out.dangling_rows.resize(dangling);
+  out.dangling_mask.resize(dangling);
+
+  const auto fill = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi; ++b) {
+      std::size_t a = active_at[b];
+      std::size_t d = dangling_at[b];
+      for (std::size_t v = b * kFinalizeBlock; v < block_end(b); ++v) {
+        const std::uint64_t m = state.active_mask[v];
+        if (m == 0) continue;
+        out.active_rows[a++] = static_cast<VertexId>(v);
+        const std::uint64_t dm = dangling_of(v, m);
+        if (dm != 0) {
+          out.dangling_rows[d] = static_cast<VertexId>(v);
+          out.dangling_mask[d++] = dm;
+        }
+      }
+    }
+  };
+  par::maybe_parallel_for_range(0, num_blocks, parallel, fill);
 }
 
 /// SpMV pass A for one row; atomicity as in scatter_row.
@@ -236,9 +329,6 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
   state.resize(n, lanes);
   out.lanes = lanes;
   out.row_ptr.assign(n + 1, 0);
-  out.active_rows.clear();
-  out.dangling_rows.clear();
-  out.dangling_mask.clear();
 
   // Union of the batch's lane windows: lanes are strided windows of one
   // spec, so coverage is [start(first lane), end(last lane)].
@@ -275,21 +365,8 @@ void compile_spmm_batch(const MultiWindowGraph& part, const WindowSpec& spec,
               assert(at == out.row_ptr[v + 1]);
             });
 
-  // Compaction lists + per-lane population (needs the complete degrees).
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint64_t m = state.active_mask[v];
-    if (m == 0) continue;
-    out.active_rows.push_back(static_cast<VertexId>(v));
-    std::uint64_t dangling = 0;
-    for_each_set_lane(m, [&](std::size_t k) {
-      ++state.num_active[k];
-      if (state.out_degree[v * lanes + k] == 0) dangling |= lane_bit(k);
-    });
-    if (dangling != 0) {
-      out.dangling_rows.push_back(static_cast<VertexId>(v));
-      out.dangling_mask.push_back(dangling);
-    }
-  }
+  // Degrees, per-lane population and the compaction lists.
+  finalize_spmm(state, out, parallel);
   out.charge.reset(obs::MemTag::kCompiledKernel, out.memory_bytes());
 }
 

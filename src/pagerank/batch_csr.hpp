@@ -87,10 +87,11 @@ struct CompiledBatchCsr {
   obs::MemCharge charge;
 };
 
-/// Builds `state` and `out` together: one run-compression pass scatters
-/// the per-lane degrees and activity and emits the compiled adjacency.
-/// `state` after the call is identical to the reference scatter's in
-/// tests/oracle/. Non-null `parallel` runs the row passes as
+/// Builds `state` and `out` together: pass A scatters activity and the
+/// degrees' lane differences, pass B emits the run-compressed adjacency,
+/// and a finalize pass turns the differences into degrees and builds the
+/// compaction lists. `state` after the call is identical to the reference
+/// scatter's in tests/oracle/. Non-null `parallel` runs all three as
 /// parallel_fors. Throws InvariantError when batch.lanes is outside
 /// [1, kMaxSpmmLanes].
 ///

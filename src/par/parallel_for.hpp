@@ -99,6 +99,19 @@ void parallel_for_range(std::size_t begin, std::size_t end,
   pool.wait(wg);
 }
 
+/// parallel_for_range under `*opts`, or one `body(begin, end)` call on
+/// this thread when `opts` is null (a loop that runs serially because an
+/// outer loop already holds the pool).
+template <typename Body>
+void maybe_parallel_for_range(std::size_t begin, std::size_t end,
+                              const ForOptions* opts, Body&& body) {
+  if (opts != nullptr) {
+    parallel_for_range(begin, end, *opts, body);
+  } else if (begin < end) {
+    body(begin, end);
+  }
+}
+
 /// Runs `body(i)` for each i in [begin, end).
 template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, const ForOptions& opts,

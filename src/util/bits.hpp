@@ -24,6 +24,11 @@ namespace pmpr {
   return std::uint64_t{1} << lane;
 }
 
+/// The mask of lanes [0, n), n <= 64.
+[[nodiscard]] constexpr std::uint64_t lanes_below(std::size_t n) {
+  return n >= 64 ? ~std::uint64_t{0} : lane_bit(n) - 1;
+}
+
 [[nodiscard]] constexpr bool mask_test(std::uint64_t mask, std::size_t lane) {
   return (mask >> lane & 1) != 0;
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -235,6 +237,66 @@ TEST(PostmortemRunner, LaneWidthAboveOneWordClampsTo64) {
   EXPECT_EQ(wide.order, word.order);
   for (std::size_t w = 0; w < spec.count; ++w) {
     ASSERT_EQ(wide.all.window(w), word.all.window(w)) << "window " << w;
+  }
+}
+
+/// FNV-1a over every window's (global id, rank bits), windows ascending.
+std::uint64_t rank_digest(const StoreAllSink& sink) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::size_t w = 0; w < sink.num_windows(); ++w) {
+    mix(w);
+    for (const auto& [v, pr] : sink.window(w)) {
+      mix(v);
+      mix(std::bit_cast<std::uint64_t>(pr));
+    }
+  }
+  return h;
+}
+
+TEST(PostmortemRunner, SpmmRanksArePinned) {
+  // Golden digests of a nested SpMM run whose parts hold several 4-lane
+  // batches, so cold starts, partial inits and multi-lane sinks all run.
+  // Ranks depend on the pool size (its reduction trees), not on which
+  // thread ran what, so each pool size has one digest; the out-of-core
+  // store must reproduce it.
+  const TemporalEdgeList events = test::random_events(1717, 500, 30000, 40000);
+  const WindowSpec spec = WindowSpec::cover(0, 40000, 6000, 300);
+  ASSERT_GT(spec.count, 100u);
+  PostmortemConfig cfg = base_config();
+  cfg.mode = ParallelMode::kNested;
+  cfg.kernel = KernelKind::kSpmm;
+  cfg.partitioner = par::Partitioner::kSimple;
+  cfg.grain = 8;
+  cfg.vector_length = 4;
+  cfg.num_multi_windows = 3;
+  // The compiler fuses multiply-adds only when the target has FMA, so the
+  // digests differ between an -march=native build on an FMA host and a
+  // build without -march (the sanitizer trees of ci/sanitize.sh).
+#if defined(__FMA__)
+  const std::pair<std::size_t, std::uint64_t> pinned[] = {
+      {1, 0x3ee667e2f52ab0d7ULL}, {4, 0x803400e1f5237d34ULL}};
+#else
+  const std::pair<std::size_t, std::uint64_t> pinned[] = {
+      {1, 0x7bafb1c876206450ULL}, {4, 0xb51783133c0dea06ULL}};
+#endif
+  for (const auto& [workers, digest] : pinned) {
+    par::ThreadPool pool(workers);
+    cfg.pool = &pool;
+    for (const StorageKind storage :
+         {StorageKind::kInRam, StorageKind::kOutOfCore}) {
+      cfg.storage = storage;
+      StoreAllSink sink(spec.count);
+      run_postmortem(events, spec, sink, cfg);
+      EXPECT_EQ(rank_digest(sink), digest)
+          << workers << " workers, storage " << to_string(storage)
+          << std::hex << ": got 0x" << rank_digest(sink);
+    }
   }
 }
 

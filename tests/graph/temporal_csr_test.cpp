@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace pmpr {
 namespace {
@@ -141,6 +147,75 @@ TEST(TemporalCsr, MemoryBytesGrowsWithEvents) {
   const TemporalCsr gs = TemporalCsr::build(small.events(), 20, false);
   const TemporalCsr gb = TemporalCsr::build(big.events(), 20, false);
   EXPECT_LT(gs.memory_bytes(), gb.memory_bytes());
+}
+
+/// A CSR with the given row lengths and seeded columns and times.
+TemporalCsr csr_with_rows(const std::vector<std::size_t>& lengths,
+                          std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::size_t> row_ptr{0};
+  std::vector<VertexId> cols;
+  std::vector<Timestamp> times;
+  for (const std::size_t len : lengths) {
+    for (std::size_t i = 0; i < len; ++i) {
+      cols.push_back(static_cast<VertexId>(rng.bounded(1000)));
+      times.push_back(static_cast<Timestamp>(rng.bounded(1u << 30)));
+    }
+    row_ptr.push_back(cols.size());
+  }
+  return TemporalCsr::adopt(std::move(row_ptr), std::move(cols),
+                            std::move(times));
+}
+
+std::vector<std::uint8_t> serialized(const io::CompressedTemporalCsr& c) {
+  std::vector<std::uint8_t> bytes;
+  c.serialize_to(bytes);
+  return bytes;
+}
+
+TEST(TemporalCsr, ChunkParallelEncodeMatchesSerial) {
+  // The chunk plan depends on row_ptr alone and each chunk encodes on its
+  // own, so the store bytes cannot depend on the pool.
+  struct Case {
+    const char* name;
+    TemporalCsr csr;
+    std::size_t target;
+  };
+  std::vector<std::size_t> many(3000);
+  Xoshiro256 rng(77);
+  for (std::size_t& len : many) len = rng.bounded(30);
+  std::vector<Case> cases;
+  cases.push_back({"zero rows", TemporalCsr{}, 4});
+  cases.push_back({"empty rows", csr_with_rows({3, 0, 0, 5, 0, 2, 0}, 1), 4});
+  cases.push_back({"only empty rows", csr_with_rows({0, 0, 0}, 2), 4});
+  cases.push_back(
+      {"trailing empty rows", csr_with_rows({4, 2, 0, 0, 0}, 3), 3});
+  cases.push_back(
+      {"row longer than target", csr_with_rows({2, 50, 3, 1}, 4), 8});
+  cases.push_back({"target 1", csr_with_rows({1, 3, 0, 2, 7, 0, 1}, 5), 1});
+  cases.push_back({"many chunks", csr_with_rows(many, 6), 64});
+  par::ThreadPool one(1);
+  par::ThreadPool two(2);
+  par::ThreadPool four(4);
+  for (const Case& c : cases) {
+    const std::vector<std::uint8_t> serial =
+        serialized(io::CompressedTemporalCsr::encode(
+            c.csr.row_ptr(), c.csr.col(), c.csr.time(), c.target));
+    const std::vector<std::uint8_t> on_one =
+        serialized(compress_temporal_csr(c.csr, c.target, &one));
+    EXPECT_EQ(on_one, serial) << c.name;
+    for (par::ThreadPool* pool : {&two, &four}) {
+      EXPECT_EQ(serialized(compress_temporal_csr(c.csr, c.target, pool)),
+                on_one)
+          << c.name << ", " << pool->num_threads() << " workers";
+    }
+    const TemporalCsr back = decompress_temporal_csr(
+        compress_temporal_csr(c.csr, c.target, &four));
+    EXPECT_TRUE(std::ranges::equal(back.row_ptr(), c.csr.row_ptr()) &&
+                std::ranges::equal(back.col(), c.csr.col()) &&
+                std::ranges::equal(back.time(), c.csr.time()))
+        << c.name;
+  }
 }
 
 }  // namespace

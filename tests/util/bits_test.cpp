@@ -35,6 +35,15 @@ TEST(Bits, LaneBitAndMaskTest) {
   static_assert(lane_bit(63) == std::uint64_t{1} << 63);
 }
 
+TEST(Bits, LanesBelow) {
+  static_assert(lanes_below(0) == 0);
+  static_assert(lanes_below(1) == 1);
+  static_assert(lanes_below(7) == 0x7f);
+  static_assert(lanes_below(63) == ~std::uint64_t{0} >> 1);
+  static_assert(lanes_below(64) == ~std::uint64_t{0});
+  EXPECT_EQ(lanes_below(33), (std::uint64_t{1} << 33) - 1);
+}
+
 TEST(Bits, ForEachSetLaneAscending) {
   const std::vector<std::size_t> lanes = {0, 1, 7, 8, 33, 62, 63};
   std::uint64_t mask = 0;
