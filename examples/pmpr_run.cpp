@@ -245,9 +245,9 @@ int main(int argc, char** argv) {
                       result.counters[obs::Counter::kPartsEvicted]),
                   static_cast<unsigned long long>(
                       result.counters[obs::Counter::kPartRefaults]));
-      // Ground truth (mincore page scan of the store) next to the charge
-      // the LRU policy maintained; ci/oocore_smoke.sh asserts the measured
-      // value honors the budget (modulo readahead slack).
+      // Ground truth (mincore page scan of the mapped parts' payloads)
+      // next to the charge the LRU policy maintained; ci/oocore_smoke.sh
+      // asserts the measured value never exceeds the charge.
       std::printf("residency  : measured peak %zu bytes (%.2f MiB) vs "
                   "charged %zu bytes\n",
                   result.oocore_measured_resident_peak_bytes,

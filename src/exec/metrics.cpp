@@ -87,9 +87,10 @@ void write_metrics_json(const RunResult& result, std::ostream& out,
       << ",\n";
   out << "    \"peak_bytes_estimate\": " << result.peak_memory_estimate_bytes
       << ",\n";
-  // Oocore ground truth vs charge: the mincore-scanned store residency
-  // peak against the budget charge the LRU policy maintained. The signed
-  // delta exposes readahead (positive) and lazy faulting (negative).
+  // Oocore ground truth vs charge: the mincore-scanned residency peak of
+  // the mapped parts' payloads against the budget charge the LRU policy
+  // maintained. The delta is never positive; a negative one means pages
+  // of mapped parts had left the page cache.
   out << "    \"oocore_resident_peak_charged_bytes\": "
       << result.oocore_resident_peak_bytes << ",\n";
   out << "    \"oocore_resident_peak_measured_bytes\": "

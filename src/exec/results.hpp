@@ -74,9 +74,9 @@ struct RunResult {
   std::size_t oocore_resident_peak_bytes = 0;
   std::size_t oocore_store_bytes = 0;
   std::size_t oocore_raw_bytes = 0;
-  /// Measured (mincore) peak residency of the oocore store, the ground
-  /// truth for oocore_resident_peak_bytes' charge-based accounting. Zero
-  /// for non-oocore runs.
+  /// Measured (mincore) peak residency of the mapped parts' payloads in
+  /// the oocore store, the ground truth for oocore_resident_peak_bytes'
+  /// charge-based accounting. Zero for non-oocore runs.
   std::size_t oocore_measured_resident_peak_bytes = 0;
 
   [[nodiscard]] double total_seconds() const {

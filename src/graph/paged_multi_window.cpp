@@ -199,13 +199,11 @@ PagedMultiWindowSet::Lease PagedMultiWindowSet::acquire(std::size_t p) {
     resident_bytes_ += slot.payload_bytes;
     stats_.peak_resident_bytes =
         std::max(stats_.peak_resident_bytes, resident_bytes_);
-    // Ground-truth watermark: an mincore scan of the whole store, taken
-    // only on the map path where mmap/madvise syscalls are already in
-    // play. Kernel readahead may legitimately put it above the charged
-    // peak; lazy faulting below.
+    // Ground-truth watermark, taken only on the map path where
+    // mmap/madvise syscalls are already in play.
     stats_.measured_resident_peak_bytes =
         std::max(stats_.measured_resident_peak_bytes,
-                 file_->resident_bytes());
+                 mapped_resident_bytes());
   }
   ++slot.pin_count;
   slot.last_use = ++clock_;
@@ -279,11 +277,21 @@ PagingStats PagedMultiWindowSet::stats() const {
   return stats_;
 }
 
+std::size_t PagedMultiWindowSet::mapped_resident_bytes() const {
+  std::size_t bytes = 0;
+  for (const PartSlot& s : parts_) {
+    if (!s.graph.is_compressed()) continue;
+    // The payload is the blob's tail (after the header and chunk table).
+    bytes += file_->resident_bytes(
+        s.store_offset + s.store_size - s.payload_bytes, s.payload_bytes);
+  }
+  return bytes;
+}
+
 std::uint64_t PagedMultiWindowSet::probe_resident_bytes() const {
-  // Lock-free monitor read: file_ is set once in build() before the probe
-  // registers and never reassigned; the scan itself touches no guarded
-  // state.
-  return file_ != nullptr ? file_->resident_bytes() : 0;
+  // Ordered after the sampler's probe lock; nothing holding mu_ takes it.
+  LockGuard lock(mu_);
+  return file_ != nullptr ? mapped_resident_bytes() : 0;
 }
 
 std::uint64_t PagedMultiWindowSet::probe_budget_bytes() const {

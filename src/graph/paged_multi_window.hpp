@@ -46,9 +46,12 @@ struct PagingStats {
   std::size_t part_refaults = 0;   ///< Re-acquires of an evicted part.
   std::size_t bytes_evicted = 0;   ///< Payload bytes dropped by evictions.
   std::size_t peak_resident_bytes = 0;  ///< Max charged payload at any time.
-  /// Max *measured* store residency (mincore page scan, sampled on every
-  /// part map). The ground truth the charged peak is audited against:
-  /// kernel readahead can push it above the charge, lazy faulting below.
+  /// Max *measured* residency of the mapped parts' payloads (mincore page
+  /// scan, sampled on every part map). The ground truth the charged peak is
+  /// audited against: it counts only bytes of mapped payloads, so it never
+  /// exceeds the charge, and falls below it for pages the kernel dropped
+  /// from the page cache. Unmapped parts are not scanned — the store file
+  /// stays cached after build() writes it.
   std::size_t measured_resident_peak_bytes = 0;
   std::size_t store_bytes = 0;     ///< On-disk store file size.
   std::size_t raw_bytes = 0;       ///< Σ raw (col+time) bytes — the
@@ -135,9 +138,9 @@ class PagedMultiWindowSet : public obs::ResidencyProbe {
   [[nodiscard]] PagingStats stats() const;
 
   /// obs::ResidencyProbe monitor reads, feeding the sampler's
-  /// mem.oocore_resident / mem.budget trace tracks. Lock-free: file_ and
-  /// budget_bytes_ are set once in build() before the probe registers and
-  /// never change afterwards; the scan itself is a pure mincore read.
+  /// mem.oocore_resident / mem.budget trace tracks. The residency read
+  /// takes mu_ to see which parts are mapped; file_ and budget_bytes_ are
+  /// set once in build() before the probe registers.
   [[nodiscard]] std::uint64_t probe_resident_bytes() const override;
   [[nodiscard]] std::uint64_t probe_budget_bytes() const override;
 
@@ -157,6 +160,9 @@ class PagedMultiWindowSet : public obs::ResidencyProbe {
   };
 
   void release_pin(std::size_t p);
+  /// mincore-measured resident bytes of the payloads of the parts mapped
+  /// right now.
+  std::size_t mapped_resident_bytes() const PMPR_REQUIRES(mu_);
   /// Evicts LRU unpinned parts until `need` more bytes fit. Caller holds
   /// mu_.
   void make_room(std::size_t need) PMPR_REQUIRES(mu_);

@@ -164,24 +164,26 @@ std::size_t MmapFile::resident_bytes(std::size_t offset,
   // The read-into-RAM fallback IS anonymous resident memory: report it all.
   if (!mapped_) return length;
 #if PMPR_IO_HAVE_MMAP
-  // mincore wants a page-aligned start; align down and widen like advise().
+  // mincore wants a page-aligned start; scan from the page holding
+  // `offset`, then count only each resident page's overlap with the range,
+  // so partial pages at either end never over-report.
   const std::size_t ps = page_size();
-  const std::size_t misalign = offset % ps;
-  offset -= misalign;
-  length += misalign;
-  length = std::min(length, size_ - offset);
-  const std::size_t pages = (length + ps - 1) / ps;
+  const std::size_t end = offset + length;
+  const std::size_t first = offset - offset % ps;
+  const std::size_t pages = (end - first + ps - 1) / ps;
   std::vector<MincoreVec> vec(pages);
   // Advisory measurement: a failed scan reports 0 rather than guessing.
-  if (::mincore(const_cast<std::uint8_t*>(data_) + offset, length,
+  if (::mincore(const_cast<std::uint8_t*>(data_) + first, end - first,
                 vec.data()) != 0) {
     return 0;
   }
-  std::size_t resident_pages = 0;
-  for (const MincoreVec b : vec) {
-    resident_pages += static_cast<unsigned char>(b) & 1u;
+  std::size_t resident = 0;
+  for (std::size_t i = 0; i < pages; ++i) {
+    if ((static_cast<unsigned char>(vec[i]) & 1u) == 0) continue;
+    const std::size_t page_lo = first + i * ps;
+    resident += std::min(page_lo + ps, end) - std::max(page_lo, offset);
   }
-  return std::min(resident_pages * ps, length);
+  return resident;
 #else
   return 0;
 #endif

@@ -54,7 +54,9 @@ class MmapFile {
 
   /// Bytes of [offset, offset + length) currently resident in physical
   /// memory, measured with an mincore(2) page scan — the ground truth the
-  /// paged store's charged residency is audited against. The fallback
+  /// paged store's charged residency is audited against. A resident page
+  /// counts only its overlap with the range, so the result never exceeds
+  /// the (clamped) length. The fallback
   /// buffer counts as fully resident (it IS the anonymous memory). Returns
   /// 0 when the range is empty or the scan fails.
   [[nodiscard]] std::size_t resident_bytes(std::size_t offset,

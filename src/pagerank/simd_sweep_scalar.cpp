@@ -15,8 +15,8 @@ namespace {
 
 /// Entries ahead of the current one whose x/deg rows are prefetched: deep
 /// enough to cover an L2 miss at the inner loop's pace, shallow enough not
-/// to thrash short rows. Shared with the wide kernels (documented in
-/// DESIGN.md §5.2).
+/// to thrash short rows. Only this kernel prefetches: the register-
+/// accumulator wide kernels measured no gain from it (DESIGN.md §5.2).
 constexpr std::size_t kPrefetchEntries = 8;
 
 /// Active rows processed per tile; the next tile's row list and offsets

@@ -153,6 +153,25 @@ TEST(PagedMultiWindowSet, PeakResidentMonotoneUnderChurn) {
   EXPECT_GT(paged->stats().measured_resident_peak_bytes, 0u);
 }
 
+TEST(PagedMultiWindowSet, MeasuredResidencyCountsOnlyMappedParts) {
+  // build() leaves the whole store file in the page cache, so a scan of
+  // the file would report every part as resident. The audit scans only the
+  // mapped payloads and counts only their own bytes, so it can never
+  // exceed the charge.
+  const TemporalEdgeList events = test::random_events(77, 2000, 100000, 1999);
+  const auto paged = PagedMultiWindowSet::build(events, test_spec(),
+                                                opts_with(4));
+  ASSERT_EQ(paged->num_parts(), 4u);
+  for (std::size_t p = 0; p < 3; ++p) {
+    PagedMultiWindowSet::Lease lease = paged->acquire(p);
+    lease.release();
+  }
+  const PagingStats stats = paged->stats();
+  EXPECT_GT(stats.measured_resident_peak_bytes, 0u);
+  EXPECT_LE(stats.measured_resident_peak_bytes, stats.peak_resident_bytes);
+  EXPECT_LT(stats.measured_resident_peak_bytes, stats.store_bytes / 2);
+}
+
 TEST(PagedMultiWindowSet, PinnedPartsAreNeverEvicted) {
   const auto paged =
       PagedMultiWindowSet::build(test_events(), test_spec(), opts_with(4));

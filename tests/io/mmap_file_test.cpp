@@ -74,6 +74,24 @@ TEST_F(MmapFileTest, AdviseKeepsBytesReadable) {
   }
 }
 
+TEST_F(MmapFileTest, ResidentBytesCountOnlyTheRange) {
+  std::vector<std::uint8_t> bytes(4 * 4096, 0x5A);
+  write_file(bytes);
+  const MmapFile file = MmapFile::open(path_);
+  // Touch every byte: the whole file is then resident (a read-into-RAM
+  // fallback counts as resident by definition).
+  unsigned sum = 0;
+  for (const std::uint8_t b : file.bytes()) sum += b;
+  ASSERT_EQ(sum, 0x5Au * bytes.size());
+  EXPECT_EQ(file.resident_bytes(), bytes.size());
+  // Ranges that start and end mid-page count their own bytes, not the
+  // pages they touch.
+  EXPECT_EQ(file.resident_bytes(4096 - 8, 16), 16u);
+  EXPECT_EQ(file.resident_bytes(100, 2 * 4096), 2u * 4096);
+  EXPECT_EQ(file.resident_bytes(bytes.size() - 5, 100), 5u);
+  EXPECT_EQ(file.resident_bytes(bytes.size(), 1), 0u);
+}
+
 TEST_F(MmapFileTest, MoveTransfersOwnership) {
   write_file({1, 2, 3, 4});
   MmapFile a = MmapFile::open(path_);

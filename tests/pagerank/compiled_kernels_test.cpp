@@ -44,10 +44,12 @@ WindowSpec wide_spec() {
   return WindowSpec{.t0 = 0, .delta = 6000, .sw = 45, .count = 200};
 }
 
-/// Lane counts on both sides of every AVX2 (4-lane) and AVX-512 (8-lane)
-/// group edge and of the 32-lane half word, up to the full mask word.
-constexpr std::size_t kLaneEdges[] = {1,  3,  4,  5,  7,  8,
-                                      9,  31, 32, 33, 63, 64};
+/// Windows short against their slide, so that at window_stride 20 an event
+/// falls in one or two lanes: most compiled entries of a 64-lane batch
+/// select lanes in only one or two of its eight 8-lane groups.
+WindowSpec sparse_lane_spec() {
+  return WindowSpec{.t0 = 0, .delta = 1000, .sw = 40, .count = 1300};
+}
 
 PagerankParams params_with(bool dangling) {
   PagerankParams p;
@@ -230,11 +232,13 @@ TEST(CompiledSpmv, ParallelMatchesReference) {
   EXPECT_LT(linf, 1e-12);
 }
 
-// Every lane-group edge up to the full 64-lane word. Serial compiled runs
-// must be bit-identical to the reference kernel in all of them.
+// Every lane count up to the full 64-lane word, so every group count of
+// the AVX2 (4-lane) and AVX-512 (8-lane) kernels with every tail width.
+// Serial compiled runs must be bit-identical to the reference kernel in
+// all of them.
 TEST(CompiledSpmm, LaneGroupEdgesSerialBitIdentical) {
   const Fixture f(2101, wide_spec());
-  for (const std::size_t lanes : kLaneEdges) {
+  for (std::size_t lanes = 1; lanes <= kMaxSpmmLanes; ++lanes) {
     for (const std::size_t stride : {std::size_t{1}, std::size_t{2}}) {
       for (const bool dangling : {true, false}) {
         SpmmBatch batch;
@@ -276,27 +280,33 @@ TEST(CompiledSpmm, FullWordParallelMatchesReference) {
 /// Forced-ISA differential: each vector kernel must produce exactly the
 /// scalar kernel's bits (all sweeps perform the same per-lane FP ops in
 /// the same order; cross-lane vectorization touches independent
-/// accumulators). Run over every lane-group edge so each ISA's partial and
-/// full groups are exercised.
+/// accumulators).
+void expect_batch_matches_scalar(const Fixture& f, const SpmmBatch& batch,
+                                 SimdIsa isa, SimdMode mode) {
+  for (const bool dangling : {true, false}) {
+    const SpmmRun scalar =
+        run_compiled(f, batch, dangling, nullptr, SimdMode::kScalar);
+    const SpmmRun vec = run_compiled(f, batch, dangling, nullptr, mode);
+    ASSERT_EQ(scalar.x, vec.x) << to_string(isa) << " lanes=" << batch.lanes
+                               << " stride=" << batch.window_stride
+                               << " dangling=" << dangling;
+    expect_stats_equal(scalar.stats, vec.stats);
+  }
+}
+
+/// Every lane count 1..64, so every group-count instantiation of each ISA
+/// and every partial last group runs.
 void expect_isa_matches_scalar(SimdIsa isa, SimdMode mode) {
   if (!simd_isa_supported(isa)) {
     GTEST_SKIP() << to_string(isa)
                  << " not built or not supported on this host";
   }
   const Fixture f(2303, wide_spec());
-  for (const std::size_t lanes : kLaneEdges) {
-    for (const bool dangling : {true, false}) {
-      SpmmBatch batch;
-      batch.lanes = lanes;
-      batch.first_window = 0;
-      batch.window_stride = 1;
-      const SpmmRun scalar =
-          run_compiled(f, batch, dangling, nullptr, SimdMode::kScalar);
-      const SpmmRun vec = run_compiled(f, batch, dangling, nullptr, mode);
-      ASSERT_EQ(scalar.x, vec.x)
-          << to_string(isa) << " lanes=" << lanes << " dangling=" << dangling;
-      expect_stats_equal(scalar.stats, vec.stats);
-    }
+  for (std::size_t lanes = 1; lanes <= kMaxSpmmLanes; ++lanes) {
+    expect_batch_matches_scalar(
+        f, SpmmBatch{.lanes = lanes, .first_window = 0, .window_stride = 1},
+        isa, mode);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -306,6 +316,49 @@ TEST(CompiledSpmmDispatch, Avx2BitIdenticalToScalar) {
 
 TEST(CompiledSpmmDispatch, Avx512BitIdenticalToScalar) {
   expect_isa_matches_scalar(SimdIsa::kAvx512, SimdMode::kAvx512);
+}
+
+/// Fraction of compiled entries whose lane mask touches at most two
+/// 8-lane groups.
+double share_of_entries_within_two_groups(const CompiledBatchCsr& compiled) {
+  std::size_t narrow = 0;
+  for (const std::uint64_t m : compiled.mask) {
+    int groups = 0;
+    for (std::size_t g = 0; g < 8; ++g) groups += (m >> (g * 8) & 0xFF) != 0;
+    narrow += groups <= 2;
+  }
+  return static_cast<double>(narrow) /
+         static_cast<double>(compiled.mask.size());
+}
+
+/// Strided lanes over short windows: most entries select one or two lane
+/// groups, so the vector kernels skip most groups of every entry, and rows
+/// end with groups that have no live lane.
+void expect_sparse_groups_match_scalar(SimdIsa isa, SimdMode mode) {
+  if (!simd_isa_supported(isa)) {
+    GTEST_SKIP() << to_string(isa)
+                 << " not built or not supported on this host";
+  }
+  const Fixture f(2606, sparse_lane_spec());
+  for (const std::size_t lanes : {std::size_t{61}, kMaxSpmmLanes}) {
+    const SpmmBatch batch{
+        .lanes = lanes, .first_window = 3, .window_stride = 20};
+    ASSERT_LE(batch.window_of_lane(lanes - 1), f.spec.count - 1);
+    SpmmWindowState state;
+    CompiledBatchCsr compiled;
+    compile_spmm_batch(f.set.part(0), f.spec, batch, state, compiled);
+    ASSERT_GT(share_of_entries_within_two_groups(compiled), 0.75);
+    expect_batch_matches_scalar(f, batch, isa, mode);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(CompiledSpmmDispatch, Avx2SparseLaneGroupsBitIdenticalToScalar) {
+  expect_sparse_groups_match_scalar(SimdIsa::kAvx2, SimdMode::kAvx2);
+}
+
+TEST(CompiledSpmmDispatch, Avx512SparseLaneGroupsBitIdenticalToScalar) {
+  expect_sparse_groups_match_scalar(SimdIsa::kAvx512, SimdMode::kAvx512);
 }
 
 TEST(CompiledSpmmDispatch, AutoBitIdenticalToScalarSerial) {
